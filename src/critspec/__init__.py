@@ -4,8 +4,8 @@ A probe qubit at height d above a two-dimensional magnet dephases under the
 sample's stray field.  This package computes that decoherence from first
 principles: pulse-sequence filter functions and the dipolar momentum filter
 (filters), dynamic structure factors of relaxational and quantum-critical
-models (models), nested adaptive quadrature for the noise spectral density
-and phase variance (noise), closed-form asymptotic regimes (asymptotics),
+models (models), the noise spectral density and the phase variance as
+q-integrals of closed-form per-mode kernels (noise), closed-form asymptotic regimes (asymptotics),
 critical-exponent extraction by scaling collapse (collapse), an exact
 stochastic oracle (oracle), and a CLI (cli).  Natural units hbar = k_B = 1
 throughout except the SI materials estimate (materials).
@@ -27,11 +27,11 @@ from .materials import CRI3, MaterialParams, cri3_t2_estimate, field_prefactor_s
 from .models import (DiffusiveO3, ModelA, ModelB, O3Regime, SampleModel, TfimQC,
                      as_lorentzian_model, chi, fdt_convert, lorentzian_coupling,
                      lorentzian_parameters, o3_transport, structure_factor)
-from .noise import (DecoherenceCurve, NoCrossingError, NoiseInterpolant,
-                    NoiseSpectrum, QubitParams, coherence, cpmg_closed_form,
+from .noise import (DecoherenceCurve, NoCrossingError, NoiseSpectrum,
+                    QubitParams, coherence, cpmg_closed_form,
                     decoherence_curve, filter_weight_integral,
-                    noise_spectral_density, phi_squared, sample_noise_spectrum,
-                    sequence_at, t2_extract)
+                    noise_spectral_density, ou_phase_kernel, phi_squared,
+                    sample_noise_spectrum, sequence_at, t2_extract)
 from .oracle import (FieldTrace, LatticeSpec, mode_sum_noise_density,
                      mode_sum_phi_squared, monte_carlo_phi_squared, ou_mode_step,
                      simulate_field_trace, stationary_b_variance)
@@ -48,8 +48,8 @@ __all__ = [
     "lorentzian_parameters", "lorentzian_coupling", "chi", "structure_factor",
     "fdt_convert", "o3_transport", "as_lorentzian_model",
     # noise
-    "QubitParams", "NoiseSpectrum", "DecoherenceCurve", "NoiseInterpolant",
-    "NoCrossingError", "noise_spectral_density", "sample_noise_spectrum",
+    "QubitParams", "NoiseSpectrum", "DecoherenceCurve", "NoCrossingError",
+    "noise_spectral_density", "sample_noise_spectrum", "ou_phase_kernel",
     "phi_squared", "decoherence_curve", "coherence", "t2_extract",
     "cpmg_closed_form", "filter_weight_integral", "sequence_at",
     # materials

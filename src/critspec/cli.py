@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -172,16 +171,25 @@ _CONFIG_SCHEMA = {
 }
 
 
+# checked against the meta-schema once, here, rather than on every config
+if jsonschema is not None:
+    _validator_cls = jsonschema.validators.validator_for(_CONFIG_SCHEMA)
+    _validator_cls.check_schema(_CONFIG_SCHEMA)
+    _VALIDATOR = _validator_cls(_CONFIG_SCHEMA)
+else:  # pragma: no cover
+    _VALIDATOR = None
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, _CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
+    if _VALIDATOR is not None:
+        # best_match picks the error jsonschema.validate would raise
+        e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+        if e is not None:
             loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
             raise ConfigError(f"config invalid at {loc}: {e.message}") from e
     return cfg
@@ -262,11 +270,28 @@ def _build_sequence(block: dict, *, tau=None) -> PulseSequence:
         raise ConfigError(f"bad sequence block: {e}") from e
 
 
+def _sequence_block(cfg: dict) -> dict:
+    """The sequence block with the qubit's kappa applied.
+
+    kappa may be set in the qubit block, in the sequence block, or in both
+    with the same value; two different values are a config error.
+    """
+    block = dict(cfg.get("sequence") or {})
+    qubit = cfg.get("qubit") or {}
+    if "kappa" in qubit:
+        if "kappa" in block and float(block["kappa"]) != float(qubit["kappa"]):
+            raise ConfigError(f"qubit.kappa = {qubit['kappa']} and sequence.kappa = "
+                              f"{block['kappa']} disagree; set one of them")
+        block["kappa"] = qubit["kappa"]
+    return block
+
+
 def _build_qubit(block: dict, seq_kappa: float) -> QubitParams:
     block = dict(block or {})
     t1 = block.get("t1")
     try:
-        return QubitParams(kappa=float(block.get("kappa", seq_kappa)),
+        # _sequence_block has already reconciled qubit.kappa with the sequence
+        return QubitParams(kappa=seq_kappa,
                            t1=math.inf if t1 is None else float(t1))
     except ValueError as e:
         raise ConfigError(f"bad qubit block: {e}") from e
@@ -335,7 +360,7 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     taus = _axis(cfg["taus"])
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
-    seq = _build_sequence(cfg.get("sequence"))
+    seq = _build_sequence(_sequence_block(cfg))
     qubit = _build_qubit(cfg.get("qubit"), seq.kappa)
     tol_q, tol_w = _tolerances(cfg)
     curve = decoherence_curve(taus, seq, model, geom, qubit=qubit,
@@ -363,18 +388,7 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     return 0
 
 
-def _sweep_group(payload):
-    """Worker: all tau values for one (d, T, lambda) cell; returns rows."""
-    (model_block, geom_block, seq_block, d, T, lam, taus, tol_q, tol_w) = payload
-    model = _build_model(model_block, T=T, lam=lam)
-    geom = _build_geometry(geom_block, d=d)
-    seq = _build_sequence(seq_block)
-    curve = decoherence_curve(taus, seq, model, geom, tol_omega=tol_w, tol_q=tol_q)
-    return [(d, float(t), T, lam, float(p), float(e))
-            for t, p, e in zip(curve.taus, curve.phi_sq, curve.errors)]
-
-
-def cmd_sweep(cfg: dict, out: str, seed=None, threads: int = 1) -> int:
+def cmd_sweep(cfg: dict, out: str, seed=None) -> int:
     sweep = cfg.get("sweep")
     if not sweep:
         raise ConfigError("sweep command needs a 'sweep' block")
@@ -391,29 +405,21 @@ def cmd_sweep(cfg: dict, out: str, seed=None, threads: int = 1) -> int:
                           "(lambda maps to the gap parameter delta)")
     tol_q, tol_w = _tolerances(cfg)
     geom_block = cfg.get("geometry", {"d": 1.0})
-    seq_block = cfg.get("sequence", {})
+    seq = _build_sequence(_sequence_block(cfg))
     lam_values = [None] if l_axis is None else list(l_axis)
-    tasks = []
-    for d in d_axis:
-        for T in T_axis:
-            for lam in lam_values:
-                tasks.append((cfg["model"], geom_block, seq_block, float(d),
-                              float(T), lam, tuple(map(float, t_axis)),
-                              tol_q, tol_w))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(_sweep_group, tasks))
-    else:
-        groups = [_sweep_group(t) for t in tasks]
     columns = ["d", "tau", "T"] + (["lambda"] if l_axis is not None else []) \
         + ["phi_sq", "err"]
     rows = []
-    for group in groups:
-        for d, t, T, lam, p, e in group:
-            if l_axis is not None:
-                rows.append((d, t, T, lam, p, e))
-            else:
-                rows.append((d, t, T, p, e))
+    for d in map(float, d_axis):
+        for T in map(float, T_axis):
+            for lam in lam_values:
+                model = _build_model(cfg["model"], T=T, lam=lam)
+                geom = _build_geometry(geom_block, d=d)
+                curve = decoherence_curve(t_axis, seq, model, geom,
+                                          tol_omega=tol_w, tol_q=tol_q)
+                lam_col = () if lam is None else (lam,)
+                for t, p, e in zip(curve.taus, curve.phi_sq, curve.errors):
+                    rows.append((d, float(t), T) + lam_col + (float(p), float(e)))
     _write_csv(out, _provenance_lines("sweep", cfg, seed), columns, rows)
     return 0
 
@@ -513,11 +519,11 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
     return 0
 
 
-def cmd_oracle(cfg: dict, out: str, seed=0, threads: int = 1) -> int:
+def cmd_oracle(cfg: dict, out: str, seed=0) -> int:
     block = dict(cfg.get("oracle", {}))
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
-    seq = _build_sequence(cfg.get("sequence"))
+    seq = _build_sequence(_sequence_block(cfg))
     lattice = LatticeSpec(L=int(block.get("L", 64)), a=float(block.get("a", 1.0)))
     n_traces = int(block.get("n_traces", 400))
     n_pulses = max(1, seq.n_pulses if seq.kind == "cpmg" else 1)
@@ -613,7 +619,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_DEFAULT_OUT))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="thread budget (validated; every command runs in one process)")
     parser.add_argument("--out", default=None, help="output file path")
     args = parser.parse_args(argv)
 
@@ -621,17 +628,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         out = args.out or _DEFAULT_OUT[args.command]
-        threads = _thread_count(args)
+        _thread_count(args)  # validated only: every command runs in one process
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out, seed)
         if args.command == "decohere":
             return cmd_decohere(cfg, out, seed)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, seed, threads=threads)
+            return cmd_sweep(cfg, out, seed)
         if args.command == "collapse":
             return cmd_collapse(cfg, out, seed)
         if args.command == "oracle":
-            return cmd_oracle(cfg, out, seed, threads=threads)
+            return cmd_oracle(cfg, out, seed)
         return cmd_estimate_t2(cfg, out, seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

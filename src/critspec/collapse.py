@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +235,31 @@ def _resolve_bounds(names, bounds, grid, loc_name):
     return out
 
 
+def _nelder_mead(fun, x0, *, maxiter, xatol, fatol):
+    """Adaptive Nelder-Mead that also stops once its simplex has collapsed to rounding.
+
+    The collapse metric jumps where neighbour sets change.  A simplex that
+    straddles a jump keeps its value spread above fatol however small it
+    gets, and would re-evaluate the same point until maxiter; here the run
+    ends when the last 2(n+1) evaluated points agree to 1e-12.
+    """
+    recent = deque(maxlen=2 * (len(x0) + 1))
+
+    def f(x):
+        recent.append(np.array(x))
+        return fun(x)
+
+    def stop(intermediate_result):
+        if len(recent) == recent.maxlen:
+            pts = np.array(recent)
+            if np.all(np.ptp(pts, axis=0) <= 1e-12 * (1.0 + np.abs(pts[0]))):
+                raise StopIteration
+
+    return minimize(f, x0, method="Nelder-Mead", callback=stop,
+                    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol,
+                             "adaptive": True})
+
+
 def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
     # amplitude parameter is optimized in log space
     amp_i = len(names) - 1
@@ -271,9 +297,8 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         starts = pool[np.argsort(scores, kind="stable")[:n_starts]]
         cand = []
         for x0 in starts:
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": 400 * n_free, "xatol": 1e-5,
-                                    "fatol": 1e-12, "adaptive": True})
+            res = _nelder_mead(objective, x0, maxiter=400 * n_free, xatol=1e-5,
+                               fatol=1e-12)
             xc = np.clip(res.x, lo_u[free], hi_u[free])
             cand.append((float(res.fun), tuple(xc), bool(res.success)))
         cand.sort(key=lambda c: (c[0], c[1]))
@@ -282,9 +307,8 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         # restarting with a fresh simplex recovers from premature collapse;
         # stalled improvement counts as converged even when maxiter was hit
         for _ in range(8):
-            res = minimize(objective, best_u, method="Nelder-Mead",
-                           options={"maxiter": 400 * n_free, "xatol": 1e-6,
-                                    "fatol": 1e-12, "adaptive": True})
+            res = _nelder_mead(objective, best_u, maxiter=400 * n_free, xatol=1e-6,
+                               fatol=1e-12)
             f_new = float(res.fun)
             x_new = np.clip(res.x, lo_u[free], hi_u[free])
             if f_new >= best_f - max(1e-3 * abs(best_f), 1e-14):
@@ -328,9 +352,8 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
                 pen = np.sum(((np.asarray(u_free) - u[free]) / width[free]) ** 2)
                 return _normalized_quality(build(sub, p), k) * (1.0 + pen) + pen
 
-            res = minimize(obj_r, best_u, method="Nelder-Mead",
-                           options={"maxiter": 60 * n_free, "xatol": 1e-4,
-                                    "fatol": 1e-10, "adaptive": True})
+            res = _nelder_mead(obj_r, best_u, maxiter=60 * n_free, xatol=1e-4,
+                               fatol=1e-10)
             samples[r] = np.clip(res.x, lo_u[free], hi_u[free])
         cov_free = np.atleast_2d(np.cov(samples, rowvar=False))
         cov = np.zeros((len(names), len(names)))

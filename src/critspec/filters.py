@@ -1,10 +1,11 @@
-"""Dephasing filter functions and the magnetostatic momentum filter.
+r"""Dephasing filter functions and the magnetostatic momentum filter.
 
 A probe qubit at height d above a two-dimensional magnet accumulates phase
-under a toggling sign function f(t) set by its pulse sequence.  Everything
-downstream needs only two ingredients from this module: the frequency
-filter W_tau(omega) = kappa^2 |\int_0^tau f(t) e^{-i omega t} dt|^2 and the
-momentum filter W_d(q) picked out by the dipolar kernel of the 2D layer.
+under a toggling sign function f(t) set by its pulse sequence.  Downstream
+code needs the sign-flip schedule of f (the time-domain kernel in noise.py),
+the momentum filter W_d(q) picked out by the dipolar kernel of the 2D layer
+and, for explicit noise spectra, the frequency filter
+W_tau(omega) = kappa^2 |\int_0^tau f(t) e^{-i omega t} dt|^2.
 
 Natural units throughout (hbar = k_B = 1, lattice constant a = 1, coupling
 kappa = 1 unless configured otherwise); SI conversions live in materials.py.
@@ -257,7 +258,7 @@ def comb_tail_bound(seq: PulseSequence, n_max: int) -> float:
 
 
 def jump_weights(seq: PulseSequence):
-    """Jump times and magnitudes of the sign function, boundaries included.
+    r"""Jump times and magnitudes of the sign function, boundaries included.
 
     The transform obeys \int f e^{-i omega t} dt = (1/ i omega) sum_k J_k
     e^{-i omega u_k} at omega != 0, so sum J_k^2 fixes the exact 1/omega^2

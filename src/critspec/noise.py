@@ -1,13 +1,22 @@
-"""Noise spectral density, decoherence curves, and T2 extraction.
+r"""Noise spectral density, decoherence curves, and T2 extraction.
 
-The pipeline is N(omega) = \int_0^inf dq/(2pi) W_d(q) S(q, omega) followed
-by <phi^2> = \int domega/(2pi) W_tau(omega) N(omega).  The q-integral runs
-innermost; N(omega) is smooth away from omega = 0, so it is cached on an
-adaptive log-log grid with cubic interpolation while the oscillatory omega
-integral is done per filter lobe (panel width pi/tau) with Gauss-Kronrod
-panels, a smooth 1/omega^2-envelope tail continuation, and an omega = u^2
-endpoint substitution for the integrable 1/sqrt(omega) divergence of the
-critical conserved model.
+Every sample model is a set of independent Lorentzian (Ornstein-Uhlenbeck)
+modes (models.py), so the phase variance of a model is one q-integral of a
+closed-form time kernel, the filter-function result in the time domain:
+
+    <phi^2>(tau) = kappa^2 \int_0^inf dq/(2pi) W_d(q) T chi_q Q(r_q; tau),
+    Q(r; tau)    = \int_0^tau \int_0^tau f(t) f(t') e^{-r|t-t'|} dt dt'.
+
+ou_phase_kernel evaluates Q in closed form, one step per run of equal
+segments of the pulse sequence; phi_squared and decoherence_curve integrate
+it over q with every tau as one component of an adaptive quadrature call
+(up to 16 taus per call).  The oracle's lattice mode sums use the same kernel.
+
+The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
+serves explicit spectrum callables: Gauss-Kronrod panels aligned with the
+filter lobes (width pi/tau) and a smooth 1/omega^2-envelope tail
+continuation.  N(omega) = \int_0^inf dq/(2pi) W_d(q) S(q, omega) is its own
+adaptive q-integral.
 """
 
 from __future__ import annotations
@@ -16,23 +25,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import sici
 
 from .filters import (GeometryConfig, PulseSequence, filter_function,
                       jump_weights, momentum_filter)
 from .models import ModelA, ModelB, as_lorentzian_model, lorentzian_coupling, lorentzian_parameters
-from .quadrature import QuadratureError, integrate, log_edges
+from .quadrature import QuadratureError, _eval_panels, integrate, log_edges
 
 __all__ = [
     "QubitParams",
     "NoiseSpectrum",
     "DecoherenceCurve",
-    "NoiseInterpolant",
     "NoCrossingError",
     "noise_spectral_density",
     "sample_noise_spectrum",
+    "ou_phase_kernel",
     "phi_squared",
     "decoherence_curve",
     "coherence",
@@ -72,7 +81,7 @@ class NoiseSpectrum:
 class DecoherenceCurve:
     """<phi^2>(tau) samples with per-point error estimates and provenance.
 
-    Keeps a handle to the evaluator context so t2_extract can refine roots
+    Keeps the sequence, model and geometry so t2_extract can refine roots
     on the continuous curve instead of interpolating samples.
     """
 
@@ -83,15 +92,14 @@ class DecoherenceCurve:
     model: object | None = None
     geom: GeometryConfig | None = None
     provenance: dict = field(default_factory=dict)
-    _spectrum: object = None
 
     def evaluate(self, tau: float) -> float:
-        """Continuous <phi^2>(tau), reusing the cached spectrum if present."""
+        """Continuous <phi^2>(tau) at the curve's tolerances."""
         if self.seq is None or self.model is None or self.geom is None:
             raise ValueError("curve carries no evaluator context")
-        tol = self.provenance.get("tol_omega", 1e-6)
         return phi_squared(tau, self.seq, self.model, self.geom,
-                           tol_omega=tol, spectrum=self._spectrum)
+                           tol_omega=self.provenance.get("tol_omega", 1e-6),
+                           tol_q=self.provenance.get("tol_q", 1e-8))
 
 
 class NoCrossingError(ValueError):
@@ -141,6 +149,15 @@ def _resonance_q(model, omega: float) -> float | None:
         val = omega / m.gamma_rate - 1.0
         return math.sqrt(val) / m.xi if val > 0.0 else None
     return None
+
+
+def _q_edges(m, d_min: float) -> list:
+    """Panel edges every q-integral shares: the momentum filter's scale and 1/xi."""
+    edges = [x / d_min for x in (0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0)]
+    xi = getattr(m, "xi", math.inf)
+    if math.isfinite(xi):
+        edges.append(1.0 / xi)
+    return edges
 
 
 def noise_spectral_density(omega, model, geom: GeometryConfig, *,
@@ -207,10 +224,7 @@ def _noise_chunk(m, geom, w_chunk, tol_q, q_max, d_min):
         den = r_q[:, None] ** 2 + w_chunk[None, :] ** 2
         return (wd * num / (2.0 * math.pi))[:, None] / den
 
-    edges = [x / d_min for x in (0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0)]
-    xi = getattr(m, "xi", math.inf)
-    if math.isfinite(xi):
-        edges.append(1.0 / xi)
+    edges = _q_edges(m, d_min)
     for wv in (float(w_chunk.min()), float(w_chunk.max())):
         qr = _resonance_q(m, wv)
         if qr is not None and 0.0 < qr < q_max:
@@ -230,173 +244,162 @@ def sample_noise_spectrum(model, geom: GeometryConfig, omegas, *,
                          provenance={"model": repr(model), "geometry": repr(geom)})
 
 
-class NoiseInterpolant:
-    """Adaptive log-log cubic cache of N(omega) for one (model, geometry).
-
-    The grid is refined until midpoint checks meet `tol` relative error and
-    is extended on demand when queried outside the covered range.  Beyond
-    the grid the cache extrapolates linearly in log-log space, which is the
-    exact power-law continuation of every model's 1/omega^2 UV tail.
-    """
-
-    def __init__(self, model, geom: GeometryConfig, *, tol: float = 1e-4,
-                 tol_q: float = 1e-8, points_per_decade: int = 12):
-        self.model = as_lorentzian_model(model)
-        self.geom = geom
-        self.tol = tol
-        self.tol_q = tol_q
-        self.ppd = points_per_decade
-        self.zero = self.model.T == 0.0
-        self._logw = None
-        self._logn = None
-        self._spline = None
-        self.n_exact_calls = 0
-
-    def _exact(self, w):
-        self.n_exact_calls += w.size
-        return noise_spectral_density(w, self.model, self.geom, tol_q=self.tol_q)
-
-    def _rebuild(self):
-        self._spline = CubicSpline(self._logw, self._logn, bc_type="natural")
-
-    def _insert(self, logw_new):
-        n = np.log10(np.maximum(self._exact(10.0**logw_new), 1e-300))
-        logw = np.concatenate([self._logw, logw_new])
-        logn = np.concatenate([self._logn, n])
-        order = np.argsort(logw)
-        self._logw = logw[order]
-        self._logn = logn[order]
-        self._rebuild()
-
-    def ensure(self, lo: float, hi: float):
-        """Cover [lo, hi] (omega > 0) at the cache tolerance."""
-        llo, lhi = math.log10(lo), math.log10(hi)
-        if self._logw is None:
-            n = max(4, int(math.ceil((lhi - llo) * self.ppd)))
-            self._logw = np.linspace(llo, lhi, n + 1)
-            self._logn = np.log10(np.maximum(self._exact(10.0**self._logw), 1e-300))
-            self._rebuild()
+def _runs(seq: PulseSequence) -> list:
+    """[segment length / tau, count] for each run of equal consecutive segments."""
+    if seq.kind == "ramsey":
+        segments = [(1.0, 1)]
+    elif seq.kind == "cpmg":
+        n = seq.n_pulses
+        segments = [(0.5 / n, 1), (1.0 / n, n - 1), (0.5 / n, 1)]
+    else:
+        edges = np.concatenate(([0.0], seq.switches(), [seq.tau])) / seq.tau
+        segments = [(float(x), 1) for x in np.diff(edges)]
+    runs = []
+    for frac, k in segments:
+        if k == 0:
+            continue
+        if runs and abs(runs[-1][0] - frac) <= 1e-12 * frac:
+            runs[-1][1] += k
         else:
-            step = 1.0 / self.ppd
-            add = []
-            if llo < self._logw[0] - 1e-12:
-                add.append(np.arange(self._logw[0] - step, llo - step, -step)[::-1])
-            if lhi > self._logw[-1] + 1e-12:
-                add.append(np.arange(self._logw[-1] + step, lhi + step, step))
-            if add:
-                self._insert(np.concatenate(add))
-        self._refine(llo, lhi)
-
-    def _refine(self, llo, lhi):
-        for _ in range(8):
-            mask = (self._logw[:-1] >= llo - 1e-12) & (self._logw[1:] <= lhi + 1e-12)
-            if not np.any(mask):
-                return
-            mids = 0.5 * (self._logw[:-1] + self._logw[1:])[mask]
-            exact = self._exact(10.0**mids)
-            approx = 10.0 ** self._spline(mids)
-            rel = np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-300)
-            bad = rel > self.tol
-            if not np.any(bad):
-                return
-            n = np.log10(np.maximum(exact[bad], 1e-300))
-            logw = np.concatenate([self._logw, mids[bad]])
-            logn = np.concatenate([self._logn, n])
-            order = np.argsort(logw)
-            self._logw = logw[order]
-            self._logn = logn[order]
-            self._rebuild()
-
-    def __call__(self, omega, extrapolate: bool = False):
-        w = np.abs(np.asarray(omega, dtype=float))
-        if self.zero:
-            return np.zeros(w.shape)
-        w = np.maximum(w, 1e-300)
-        if self._logw is None or (not extrapolate and (
-                w.min() < 10.0 ** self._logw[0] or w.max() > 10.0 ** self._logw[-1])):
-            self.ensure(float(w.min()) / 3.0, float(w.max()) * 3.0)
-        x = np.log10(w)
-        y = self._spline(x)
-        # linear log-log continuation outside the grid
-        x0, x1 = self._logw[0], self._logw[-1]
-        lo = x < x0
-        hi = x > x1
-        if np.any(lo):
-            y[lo] = self._spline(x0) + self._spline(x0, 1) * (x[lo] - x0)
-        if np.any(hi):
-            y[hi] = self._spline(x1) + self._spline(x1, 1) * (x[hi] - x1)
-        return 10.0**y
+            runs.append([frac, k])
+    return runs
 
 
-def _gk_panels(f, lo, hi):
-    """Kronrod sums and errors per panel, scalar integrand."""
-    from .quadrature import _NODES, _WGAUSS, _WK
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _NODES
-    fx = f(x.ravel()).reshape(x.shape)
-    k = (fx * _WK).sum(axis=1) * h
-    g = (fx * _WGAUSS).sum(axis=1) * h
-    return k, np.abs(k - g)
+# (x - 2 tanh(x/2))/x^2 = x/12 - x^3/120 + ..., taken below x = 0.1 where
+# the direct difference loses digits; the first omitted term is 1e-15 of the
+# sum there
+_STEADY_SERIES = (1.0 / 12.0, -1.0 / 120.0, 17.0 / 20160.0, -31.0 / 362880.0,
+                  691.0 / 79833600.0)
 
 
-def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float,
-                     sqrt_scale: float | None = None, max_lobes: int = 400000):
-    """(1/pi) \int_0^inf W(omega) N(omega) domega with lobe-aligned panels.
+def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
+    r"""Q(r; tau) = \int_0^tau \int_0^tau f(t) f(t') e^{-r|t-t'|} dt dt'.
+
+    f is the toggling sign of seq rescaled to each total time in taus
+    (default seq.tau).  rates are mode relaxation rates r >= 0.  Returns
+    an array of shape (rates.size, taus.size).
+
+    One pass over runs of equal consecutive segments.  The carried
+    amplitude u (earlier segments' weight e^{-r(t - t')}, signed relative
+    to the current segment) obeys u <- -e u - a over a segment of length
+    l, with e = e^{-r l} and a = (1 - e)/r, and the segment adds
+    2 (r l - 1 + e)/r^2 + 2 a u.  Over a run of k segments u relaxes
+    geometrically to u* = -tanh(r l/2)/r, so the run adds in closed form
+        k (2/r^2)(r l - 2 tanh(r l/2)) + 2 a (u - u*) (1 - (-e)^k)/(1 + e)
+    and leaves u = u* + (-e)^k (u - u*).  The cost is O(runs) per mode:
+    one run for Ramsey, three for CPMG-N.
+    """
+    r = np.asarray(rates, dtype=float).reshape(-1, 1)
+    t = np.asarray(seq.tau if taus is None else taus, dtype=float).reshape(1, -1)
+    out = np.zeros((r.shape[0], t.shape[1]))
+    u = np.zeros_like(out)
+    c1, c3, c5, c7, c9 = _STEADY_SERIES
+    for frac, k in _runs(seq):
+        ell = frac * t
+        x = r * ell
+        pos = x > 0.0
+        xs = np.where(pos, x, 1.0)
+        a = ell * np.where(pos, -np.expm1(-x) / xs, 1.0)
+        th = np.tanh(0.5 * x)
+        w = ell * np.where(pos, th / xs, 0.5)  # u* = -w
+        x2 = x * x
+        series = x * (c1 + x2 * (c3 + x2 * (c5 + x2 * (c7 + x2 * c9))))
+        steady = 2.0 * ell**2 * np.where(x < 0.1, series, (x - 2.0 * th) / xs**2)
+        ekx = np.exp(-k * x)
+        if k % 2:
+            g, power = 1.0 + ekx, -ekx
+        else:
+            g, power = -np.expm1(-k * x), ekx
+        delta = u + w
+        out += k * steady + 2.0 * a * delta * g / (1.0 + np.exp(-x))
+        u = power * delta - w
+    return out
+
+
+# taus per q-integral: each tau adds its own panel edges and a kernel
+# column, so one call over a long curve would cost O(n_tau^2) in memory
+_TAU_BLOCK = 16
+
+
+def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *, rtol: float):
+    r"""kappa^2 \int dq/2pi W_d(q) T chi_q Q(r_q; tau) for every tau.
+
+    q runs over (0, 40/d_min]; panel edges are the shared q/d set plus, per
+    tau, the momenta where r_q = 1/tau and r_q = pi n_seg/tau and half and
+    double of each.  Consecutive taus share one quadrature call, up to
+    _TAU_BLOCK of them.  Returns (values, errors, diagnostics); n_panels
+    and n_eval are summed over the calls.
+    """
+    m = as_lorentzian_model(model)
+    taus = np.asarray(taus, dtype=float)
+    d_min = float(np.min(geom.depths))
+    q_max = 40.0 / d_min
+    pref = seq.kappa**2 * m.T / (2.0 * math.pi)
+    n_seg = seq.switches().size + 1
+    vals, errs = [], []
+    diag = {"path": "time_domain", "n_panels": 0, "n_eval": 0}
+    for start in range(0, taus.size, _TAU_BLOCK):
+        block = taus[start:start + _TAU_BLOCK]
+
+        def integrand(q):
+            chi_q, r_q = lorentzian_parameters(m, q)
+            return (pref * momentum_filter(q, geom) * chi_q)[:, None] * \
+                ou_phase_kernel(r_q, seq, block)
+
+        edges = _q_edges(m, d_min)
+        for t in block:
+            for rate in (1.0 / t, math.pi * n_seg / t):
+                qr = _resonance_q(m, rate)
+                if qr is not None:
+                    edges += [0.5 * qr, qr, 2.0 * qr]
+        v, e, info = integrate(integrand, 0.0, q_max, rtol=rtol, edges=edges,
+                               max_panels=8192)
+        vals.append(np.atleast_1d(v))
+        errs.append(np.atleast_1d(e))
+        diag["n_panels"] += info["n_panels"]
+        diag["n_eval"] += info["n_eval"]
+    return np.concatenate(vals), np.concatenate(errs), diag
+
+
+def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float, max_lobes: int = 400000):
+    r"""(1/pi) \int_0^inf W(omega) N(omega) domega with lobe-aligned panels.
 
     spectrum maps an omega array to N values.  Returns (value, error, diag).
     """
     tau, kap = seq.tau, seq.kappa
     if kap == 0.0:
-        return 0.0, 0.0, {"n_lobes": 0, "omega_max": 0.0, "sqrt_substitution": False}
+        return 0.0, 0.0, {"path": "omega", "n_lobes": 0, "omega_max": 0.0,
+                          "n_panels": 0, "n_eval": 0}
     h = math.pi / tau
     _, jumps = jump_weights(seq)
     sj2 = float(np.sum(jumps**2))
     n_seg = max(1, seq.n_pulses if seq.kind == "cpmg" else len(seq.switch_times))
+    n_eval = 0
 
     def f(w):
         return filter_function(w, seq) * spectrum(w) / math.pi
 
-    total = 0.0
-    err = 0.0
-    start = 0.0
-    used_sqrt = False
-    if sqrt_scale is not None and sqrt_scale > 0.0:
-        s = min(sqrt_scale, 0.5 * h)
-        u_hi = math.sqrt(s)
-
-        def g(u):
-            w = u * u
-            return 2.0 * u * filter_function(w, seq) * spectrum(w) / math.pi
-
-        v, e, _ = integrate(g, 0.0, u_hi, rtol=0.25 * rtol,
-                            edges=u_hi * np.array([1e-3, 1e-2, 0.1, 0.3, 0.7]),
-                            max_panels=512)
-        total += v
-        err += e
-        start = s
-        used_sqrt = True
+    def panels(lo, hi):
+        nonlocal n_eval
+        n_eval += 15 * lo.size
+        k, e = _eval_panels(f, lo, hi)
+        return k[:, 0], e[:, 0]
 
     # phase 1: extend lobe panels until the analytic tail estimate is small
+    total = 0.0
+    err = 0.0
     lo_list, hi_list, val_list, err_list = [], [], [], []
-    k_next = int(math.ceil(start / h + 1e-9))
-    if k_next * h > start + 1e-12 * h:
-        lo0 = np.array([start])
-        hi0 = np.array([k_next * h])
-        v, e = _gk_panels(f, lo0, hi0)
-        lo_list.append(lo0); hi_list.append(hi0)
-        val_list.append(v); err_list.append(e)
-        total += v.sum()
     # the smooth continuation below absorbs the 1/omega^2-envelope tail, so
     # extension only has to run until the oscillatory residual of that
     # continuation, ~(3(1+n_seg)/(tau Omega)) * tail, is inside the budget
     osc_per_omega = 3.0 * (1.0 + n_seg) / tau
+    k_next = 0
     block = 16
     while True:
         k_hi = min(k_next + block, max_lobes)
         lo_b = h * np.arange(k_next, k_hi)
         hi_b = lo_b + h
-        v, e = _gk_panels(f, lo_b, hi_b)
+        v, e = panels(lo_b, hi_b)
         lo_list.append(lo_b); hi_list.append(hi_b)
         val_list.append(v); err_list.append(e)
         total += float(v.sum())
@@ -424,17 +427,14 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float,
     omega_end = float(hi[-1])
     env = kap**2 * sj2 / math.pi
 
-    if isinstance(spectrum, NoiseInterpolant):
-        def tail_f(w):
-            return env * spectrum(w, extrapolate=True) / w**2
-    else:
-        def tail_f(w):
-            return env * spectrum(w) / w**2
+    def tail_f(w):
+        return env * spectrum(w) / w**2
 
     omega_far = omega_end * 1e9
-    tail_val, tail_err, _ = integrate(tail_f, omega_end, omega_far, rtol=1e-3,
-                                      edges=log_edges(omega_end, omega_far, 2),
-                                      max_panels=1024)
+    tail_val, tail_err, tail_info = integrate(tail_f, omega_end, omega_far, rtol=1e-3,
+                                              edges=log_edges(omega_end, omega_far, 2),
+                                              max_panels=1024)
+    n_eval += tail_info["n_eval"]
     beyond = tail_f(np.array([omega_far]))[0] * omega_far  # <= integral of decreasing env
     osc = osc_per_omega / omega_end
     total += tail_val
@@ -454,7 +454,7 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float,
         mid = 0.5 * (lo[idx] + hi[idx])
         nl = np.concatenate([lo[idx], mid])
         nh = np.concatenate([mid, hi[idx]])
-        nv, ne = _gk_panels(f, nl, nh)
+        nv, ne = panels(nl, nh)
         total += nv.sum()
         keep = np.ones(lo.size, dtype=bool)
         keep[idx] = False
@@ -463,43 +463,34 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float,
         vals = np.concatenate([vals[keep], nv])
         errs = np.concatenate([errs[keep], ne])
 
-    diag = {"n_lobes": int(k_next), "omega_max": omega_end,
-            "sqrt_substitution": used_sqrt, "n_panels": int(lo.size)}
+    diag = {"path": "omega", "n_lobes": int(k_next), "omega_max": omega_end,
+            "n_panels": int(lo.size), "n_eval": int(n_eval)}
     return float(total), float(errs.sum() + err), diag
 
 
 def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig | None = None,
                 *, tol_omega: float = 1e-6, tol_q: float = 1e-8,
                 spectrum=None, full_output: bool = False):
-    """Phase variance <phi^2> = \int domega/(2pi) W_tau(omega) N(omega).
+    r"""Phase variance <phi^2> of seq rescaled to total time tau.
 
-    tau overrides the sequence's total time (the sequence shape is kept).
-    Either (model, geom) or an explicit spectrum callable must be given;
-    tests and closed-form comparisons pass analytic spectra directly.
-    With full_output, returns (value, error_estimate, diagnostics); the
-    diagnostics record whether the omega = u^2 endpoint substitution ran.
+    With an explicit spectrum callable (omega array -> N values) this is
+    \int domega/(2pi) W_tau(omega) N(omega) at rtol = tol_omega; tests and
+    closed-form comparisons pass analytic spectra.  Otherwise (model, geom)
+    give the time-domain q-integral of the per-mode kernel Q(r_q; tau) at
+    rtol = min(tol_omega, tol_q).  With full_output, returns (value,
+    error_estimate, diagnostics); the diagnostics record the path taken
+    ("time_domain" or "omega"), n_panels and n_eval.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive and finite")
-    s = sequence_at(seq, tau)
-    cache_extra = 0.0
-    if spectrum is None:
-        if model is None or geom is None:
-            raise ValueError("phi_squared needs a model and geometry (or a spectrum)")
-        spectrum = NoiseInterpolant(model, geom, tol=max(1e-7, 0.25 * tol_omega),
-                                    tol_q=tol_q)
-    sqrt_scale = None
-    m = as_lorentzian_model(model) if model is not None else None
-    if isinstance(spectrum, NoiseInterpolant):
-        m = spectrum.model
-        cache_extra = spectrum.tol
-    if isinstance(m, ModelB) and math.isinf(m.xi):
-        g = geom if geom is not None else getattr(spectrum, "geom", None)
-        d_min = float(np.min(g.depths)) if g is not None else 1.0
-        sqrt_scale = 1e-2 * m.sigma_s * m.J / d_min**4
-
-    value, err, diag = _filter_weighted(s, spectrum, rtol=tol_omega, sqrt_scale=sqrt_scale)
-    err += cache_extra * abs(value)
+    if spectrum is not None:
+        value, err, diag = _filter_weighted(sequence_at(seq, tau), spectrum, rtol=tol_omega)
+    elif model is None or geom is None:
+        raise ValueError("phi_squared needs a model and geometry (or a spectrum)")
+    else:
+        vals, errs, diag = _time_domain([tau], seq, model, geom,
+                                        rtol=min(tol_omega, tol_q))
+        value, err = float(vals[0]), float(errs[0])
     value = max(value, 0.0)
     if full_output:
         return value, err, diag
@@ -509,25 +500,17 @@ def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig
 def decoherence_curve(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
                       qubit: QubitParams | None = None, tol_omega: float = 1e-6,
                       tol_q: float = 1e-8) -> DecoherenceCurve:
-    """Evaluate <phi^2> over a tau grid, sharing one cached spectrum."""
+    """Evaluate <phi^2> over a tau grid by the time-domain q-integral."""
     ts = np.sort(np.asarray(taus, dtype=float))
     if ts.size == 0 or np.any(ts <= 0.0):
         raise ValueError("taus must be positive")
-    cache = NoiseInterpolant(model, geom, tol=max(1e-7, 0.25 * tol_omega), tol_q=tol_q)
-    vals = np.empty(ts.shape)
-    errs = np.empty(ts.shape)
-    diags = []
-    for i, t in enumerate(ts):
-        vals[i], errs[i], dg = phi_squared(t, seq, model, geom, tol_omega=tol_omega,
-                                           tol_q=tol_q, spectrum=cache, full_output=True)
-        diags.append(dg)
-    prov = {"tol_omega": tol_omega, "tol_q": tol_q,
-            "sqrt_substitution": any(d["sqrt_substitution"] for d in diags),
+    vals, errs, diag = _time_domain(ts, seq, model, geom, rtol=min(tol_omega, tol_q))
+    prov = {"tol_omega": tol_omega, "tol_q": tol_q, **diag,
             "kappa": seq.kappa, "kind": seq.kind}
     if qubit is not None:
         prov["t1"] = qubit.t1
-    return DecoherenceCurve(taus=ts, phi_sq=vals, errors=errs, seq=seq, model=model,
-                            geom=geom, provenance=prov, _spectrum=cache)
+    return DecoherenceCurve(taus=ts, phi_sq=np.maximum(vals, 0.0), errors=errs, seq=seq,
+                            model=model, geom=geom, provenance=prov)
 
 
 def coherence(tau, qubit: QubitParams, phi_sq):
@@ -587,8 +570,8 @@ def cpmg_closed_form(tau: float, omega0: float, omega_p: float, amplitude: float
 
     amplitude * (pi tau/(16 omega0)) [1 - tanh(x)/x], x = pi omega0/(2 omega_p).
     The bracket is evaluated by series below x = 1e-3 where the direct form
-    loses digits to cancellation.  This equals the full nested quadrature
-    with the exact finite-N filter (N large) for the spectrum
+    loses digits to cancellation.  This equals the filter-weighted omega
+    integral with the exact finite-N filter (N large) for the spectrum
     N(omega) = A omega0/(omega0^2 + omega^2) when amplitude = 16 kappa^2 A/pi.
     """
     if omega0 <= 0.0 or omega_p <= 0.0:
@@ -602,7 +585,7 @@ def cpmg_closed_form(tau: float, omega0: float, omega_p: float, amplitude: float
 
 
 def filter_weight_integral(seq: PulseSequence, *, rtol: float = 1e-9):
-    """(1/pi) \int_0^inf W_tau(omega) domega, exactly kappa^2 tau in theory.
+    r"""(1/pi) \int_0^inf W_tau(omega) domega, exactly kappa^2 tau in theory.
 
     Resolved lobes by Gauss-Kronrod panels plus the closed-form tail: from
     the jump expansion W = (kappa^2/omega^2)|sum_k J_k e^{-i omega u_k}|^2,

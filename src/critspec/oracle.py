@@ -10,7 +10,7 @@ weighted mode sum
 whose stationary statistics converge to the continuum q-integrals used by
 the quadrature engine.  Oracle comparisons replace the continuum integral
 with the same discrete mode sum on both sides, so the test isolates the
-omega-integration and filter logic rather than lattice discretization.
+time integration of the phase rather than lattice discretization.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import GeometryConfig, PulseSequence, jump_weights
+from .filters import GeometryConfig, PulseSequence
 from .models import as_lorentzian_model, lorentzian_parameters
+from .noise import ou_phase_kernel
 
 __all__ = [
     "LatticeSpec",
@@ -248,39 +249,18 @@ def monte_carlo_phi_squared(traces, seq: PulseSequence):
     return mean, stderr
 
 
-def _ou_double_integral(r, times, jumps):
-    """Q(r) = int_0^tau int_0^tau f f' e^{-r|t-t'|} dt dt' for OU kernels.
-
-    With G'' = e^{-r|u|}, G(u) = (r u + e^{-r u} - 1)/r^2 (series below
-    r u = 1e-6), the double integral is -sum_{jk} J_j J_k G(|u_j - u_k|).
-    """
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape)
-    n = len(times)
-    for j in range(n):
-        for k in range(j + 1, n):
-            u = times[k] - times[j]
-            ru = r * u
-            small = ru < 1e-6
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g_full = (ru + np.expm1(-ru)) / r**2
-            g = np.where(small, u * u * (0.5 - ru / 6.0 + ru * ru / 24.0), g_full)
-            out += -2.0 * jumps[j] * jumps[k] * g
-    return out
-
-
 def mode_sum_phi_squared(model, geom: GeometryConfig, lattice: LatticeSpec,
                          seq: PulseSequence) -> float:
     """Exact expectation of the MC estimator's continuum-time counterpart.
 
     <phi^2> = kappa^2 sum_q (C/L)^2 h_q^2 v_q Q(r_q) with the OU double
-    integral Q; this is the discrete-lattice analog of the nested
-    quadrature and the reference the Monte Carlo runs are tested against.
+    integral Q of noise.ou_phase_kernel; this is the discrete-lattice analog
+    of the engine's q-integral and the reference the Monte Carlo runs are
+    tested against.
     """
     modes = _ModeSet(lattice, geom)
     g, r = modes.weights_squared_vars(model)
-    times, jumps = jump_weights(seq)
-    q_vals = _ou_double_integral(r, times, jumps)
+    q_vals = ou_phase_kernel(r, seq)[:, 0]
     return float(seq.kappa**2 * np.sum(g * q_vals))
 
 

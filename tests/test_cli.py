@@ -13,9 +13,9 @@ import pytest
 
 from critspec.cli import ConfigError, _fmt, main, read_sweep_csv
 from critspec.asymptotics import omega0_for
-from critspec.filters import GeometryConfig
+from critspec.filters import GeometryConfig, PulseSequence
 from critspec.models import ModelA
-from critspec.noise import cpmg_closed_form, noise_spectral_density
+from critspec.noise import cpmg_closed_form, noise_spectral_density, phi_squared
 from critspec.quadrature import QuadratureError
 
 
@@ -219,6 +219,49 @@ class TestDecohere:
         out2 = str(tmp_path / "not1.csv")
         assert main(["decohere", "--config", cfg2, "--out", out2]) == 0
         assert "coherence_t1" not in load_rows(out2)[0]
+
+    def test_qubit_kappa_sets_the_coupling(self, tmp_path):
+        # phi scales with kappa, so kappa = 2 in the qubit block alone
+        # must quadruple <phi^2>
+        base = {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                "taus": {"values": [0.3, 1.0]}}
+        outs = []
+        for name, extra in (("unit", {}), ("qubit", {"qubit": {"kappa": 2.0}})):
+            cfg = write_cfg(tmp_path, {**base, **extra}, f"{name}.json")
+            outs.append(str(tmp_path / f"{name}.csv"))
+            assert main(["decohere", "--config", cfg, "--out", outs[-1]]) == 0
+        (cols, unit), (_, scaled) = load_rows(outs[0]), load_rows(outs[1])
+        i = cols.index("phi_sq")
+        np.testing.assert_allclose(scaled[:, i], 4.0 * unit[:, i], rtol=1e-12)
+
+    def test_conflicting_kappa_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "taus": {"values": [1.0]},
+                                   "sequence": {"kind": "ramsey", "kappa": 1.0},
+                                   "qubit": {"kappa": 2.0}})
+        assert main(["decohere", "--config", cfg,
+                     "--out", str(tmp_path / "k.csv")]) == 2
+        assert "kappa" in capsys.readouterr().err
+
+    def test_long_curve_matches_single_tau_values(self, tmp_path):
+        # a 1000-point curve runs in bounded blocks of taus; every row must
+        # agree with phi_squared at that tau within the two error estimates
+        model = ModelA(gamma0=1.0, J=1.0, xi=10.0, T=1.0)
+        geom = GeometryConfig(d=1.0)
+        seq = PulseSequence.cpmg(8, 1.0)
+        cfg = write_cfg(tmp_path, {
+            "model": {"kind": "model_a", "xi": 10.0, "T": 1.0},
+            "geometry": {"d": 1.0},
+            "sequence": {"kind": "cpmg", "n_pulses": 8},
+            "taus": {"log_range": [0.01, 100.0, 1000]}})
+        out = str(tmp_path / "long.csv")
+        assert main(["decohere", "--config", cfg, "--out", out]) == 0
+        cols, data = load_rows(out)
+        assert data.shape[0] == 1000
+        i_phi, i_err = cols.index("phi_sq"), cols.index("err")
+        for tau, phi, err in zip(data[:, 0], data[:, i_phi], data[:, i_err]):
+            ref, ref_err, _ = phi_squared(tau, seq, model, geom, full_output=True)
+            assert abs(phi - ref) <= err + ref_err
 
     def test_cpmg_32_tracks_closed_form(self, tmp_path):
         # narrowband far-field configuration, where the spectrum seen by the

@@ -13,6 +13,7 @@ import pytest
 from critspec.collapse import (
     CollapseResult,
     SweepGrid,
+    _nelder_mead,
     classical_collapse,
     collapse_quality,
     quantum_collapse,
@@ -100,6 +101,17 @@ class TestSweepGrid:
         sub = g.take([0, 2])
         assert sub.size == 2
         assert np.allclose(sub.lam, [0.5, 0.7])
+
+
+def test_nelder_mead_stops_on_collapsed_simplex():
+    # an isolated minimum: shrinking toward it leaves the other vertices one
+    # ulp away (0.75 ulp rounds up) at a value that never drops, so the value
+    # spread stays above fatol and plain Nelder-Mead would run to maxiter
+    xs = np.array([0.3, 0.7, 1.1, 1.9])
+    res = _nelder_mead(lambda x: 0.0 if np.array_equal(x, xs) else 1.0, xs.copy(),
+                       maxiter=1600, xatol=1e-5, fatol=1e-12)
+    assert res.nit < 200
+    np.testing.assert_array_equal(res.x, xs)
 
 
 NU_C, Z_C, ETA_C, TC_C = 0.6, 1.7, 0.1, 1.3

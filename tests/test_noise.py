@@ -5,16 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from critspec.filters import GeometryConfig, PulseSequence
-from critspec.models import ModelA, ModelB, structure_factor
+from critspec.models import ModelA, ModelB, O3Regime, o3_transport, structure_factor
 from critspec.noise import (
     NoCrossingError,
-    NoiseInterpolant,
     QubitParams,
     coherence,
     cpmg_closed_form,
     decoherence_curve,
     filter_weight_integral,
     noise_spectral_density,
+    ou_phase_kernel,
     phi_squared,
     sample_noise_spectrum,
     sequence_at,
@@ -111,8 +111,93 @@ def test_phi_squared_model_b_critical_vs_radial_reference():
     val, err, diag = phi_squared(tau, PulseSequence.ramsey(tau), m, geom,
                                  tol_omega=1e-7, full_output=True)
     assert val == pytest.approx(ref, rel=2e-6)
-    assert diag["sqrt_substitution"]
+    assert diag["path"] == "time_domain"
     assert err < 1e-4 * val
+
+
+def mp_jump_pair_kernel(rates, tau, grid, switches):
+    """Q(r) from the jump-pair sum in 60-digit arithmetic.
+
+    Switch instants are integers on a grid of tau/grid, so pair separations
+    are exact integers and pairs at equal separation are summed first.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    times = np.array([0] + list(switches) + [grid], dtype=np.int64)
+    n = len(switches)
+    jumps = np.array([1] + [2 * (-1) ** (i + 1) for i in range(n)] + [-((-1) ** n)],
+                     dtype=np.int64)
+    j, k = np.triu_indices(times.size, 1)
+    coef = np.zeros(grid + 1, dtype=np.int64)
+    np.add.at(coef, times[k] - times[j], -2 * jumps[j] * jumps[k])
+    seps = np.flatnonzero(coef)
+    out = []
+    with mpmath.workdps(60):
+        for rate in rates:
+            r = mpmath.mpf(float(rate))
+            total = mpmath.mpf(0)
+            for u in seps:
+                x = r * mpmath.mpf(float(tau)) * int(u) / grid
+                total += int(coef[u]) * (x + mpmath.expm1(-x)) / (r * r)
+            out.append(float(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-8", "cpmg-512", "custom"])
+def test_ou_kernel_matches_high_precision_jump_pairs(name):
+    tau = 2.0
+    if name == "ramsey":
+        seq, grid, sw = PulseSequence.ramsey(tau), 1, []
+    elif name == "custom":
+        # unequal gaps, two of them repeated, on a grid of tau/16
+        sw = [3, 5, 7, 12]
+        seq, grid = PulseSequence.custom([tau * s / 16 for s in sw], tau), 16
+    else:
+        n = 1 if name == "hahn" else int(name.split("-")[1])
+        seq, grid, sw = PulseSequence.cpmg(n, tau), 2 * n, list(range(1, 2 * n, 2))
+    rates = np.geomspace(1e-3, 1e3, 13) / tau
+    ref = mp_jump_pair_kernel(rates, tau, grid, sw)
+    got = ou_phase_kernel(rates, seq)[:, 0]
+    np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
+
+
+def test_ou_kernel_tau_columns_rescale_the_sequence():
+    seq = PulseSequence.cpmg(3, 1.0)
+    rates = np.array([0.0, 0.2, 5.0])
+    grid = ou_phase_kernel(rates, seq, [1.0, 4.0])
+    assert grid.shape == (3, 2)
+    np.testing.assert_array_equal(grid[:, 1], ou_phase_kernel(rates, PulseSequence.cpmg(3, 4.0))[:, 0])
+    # a frozen mode sees (int f)^2, which vanishes for an even segment count
+    assert grid[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert ou_phase_kernel([0.0], PulseSequence.ramsey(3.0))[0, 0] == pytest.approx(9.0)
+
+
+def test_o3_paramagnet_meets_tolerance():
+    # the slow-diffusion paramagnet puts its q-structure at q ~ 1e-3, far
+    # below the momentum filter's own scale 1/d
+    m = O3Regime(c=1.0, T=0.2, delta=1.0, side="paramagnet")
+    chi_u, d_s = o3_transport(m)
+    geom = GeometryConfig(d=2.0)
+    for name, tau in (("ramsey", 100.0), ("hahn", 10.0)):
+        seq, switches = make_sequence(name, tau)
+        q1 = math.sqrt(1.0 / (d_s * tau))
+        ref = radial_phi_squared(
+            tau, switches, d=2.0, chi_fn=lambda q: chi_u,
+            rate_fn=lambda q: d_s * q * q, temperature=0.2,
+            breakpoints=[0.5 * q1, q1, 2.0 * q1, 4.0 * q1, 0.25, 0.75])
+        assert phi_squared(tau, seq, m, geom) == pytest.approx(ref, rel=1e-6)
+
+
+def test_model_spectrum_through_the_omega_path_agrees():
+    # the two integration orders: q then omega (the model's N(omega) fed in
+    # as a spectrum) and q of the time-domain kernel
+    m = ModelA(gamma0=1.0, J=1.0, xi=2.0, T=1.0)
+    geom = GeometryConfig(d=1.0)
+    seq = PulseSequence.hahn(3.0)
+    v_w, e_w, d_w = phi_squared(3.0, seq, tol_omega=1e-7, full_output=True,
+                                spectrum=lambda w: noise_spectral_density(w, m, geom))
+    v_t, e_t, d_t = phi_squared(3.0, seq, m, geom, full_output=True)
+    assert (d_w["path"], d_t["path"]) == ("omega", "time_domain")
+    assert abs(v_w - v_t) <= e_w + e_t
 
 
 def test_single_mode_lorentzian_reduces_to_ou_variance():
@@ -161,17 +246,6 @@ def test_halving_tolerances_stays_within_error():
     v2, e2, _ = phi_squared(20.0, seq, m, geom, tol_omega=5e-6, tol_q=5e-8,
                             full_output=True)
     assert abs(v1 - v2) <= e1 + e2
-
-
-def test_noise_interpolant_tracks_direct_evaluation():
-    m = ModelA(gamma0=1.0, J=1.0, xi=2.0, T=1.0)
-    geom = GeometryConfig(d=1.0)
-    cache = NoiseInterpolant(m, geom, tol=1e-4)
-    cache.ensure(1e-3, 1e3)
-    rng = np.random.default_rng(2)
-    w = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 25))
-    direct = noise_spectral_density(w, m, geom)
-    np.testing.assert_allclose(cache(w), direct, rtol=5e-4)
 
 
 def test_t2_extraction_brackets_crossing():
