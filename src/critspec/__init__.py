@@ -21,8 +21,8 @@ from .collapse import (CollapseResult, SweepGrid, classical_collapse,
                        collapse_quality, quantum_collapse, tc_locate)
 from .filters import (GeometryConfig, PulseSequence, cpmg_delta_comb,
                       comb_tail_bound, cpmg_filter, custom_filter,
-                      dipolar_kernel, filter_function, jump_weights,
-                      momentum_filter, ramsey_filter, toggling_sign)
+                      filter_function, jump_weights, momentum_filter,
+                      ramsey_filter, toggling_sign)
 from .materials import CRI3, MaterialParams, cri3_t2_estimate, field_prefactor_si
 from .models import (DiffusiveO3, ModelA, ModelB, O3Regime, SampleModel, TfimQC,
                      as_lorentzian_model, chi, fdt_convert, lorentzian_coupling,
@@ -42,7 +42,7 @@ __all__ = [
     # filters
     "PulseSequence", "GeometryConfig", "ramsey_filter", "cpmg_filter",
     "custom_filter", "filter_function", "cpmg_delta_comb", "comb_tail_bound",
-    "jump_weights", "toggling_sign", "momentum_filter", "dipolar_kernel",
+    "jump_weights", "toggling_sign", "momentum_filter",
     # models
     "ModelA", "ModelB", "DiffusiveO3", "TfimQC", "O3Regime", "SampleModel",
     "lorentzian_parameters", "lorentzian_coupling", "chi", "structure_factor",

@@ -24,7 +24,8 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from . import __version__
-from .collapse import SweepGrid, classical_collapse, quantum_collapse
+from .collapse import (SweepGrid, classical_collapse, classical_points, quantum_collapse,
+                       quantum_points)
 from .filters import GeometryConfig, PulseSequence
 from .materials import EV, MaterialParams, cri3_t2_estimate
 from .models import DiffusiveO3, ModelA, ModelB, O3Regime, TfimQC
@@ -316,18 +317,19 @@ def _provenance_lines(command: str, cfg: dict, seed) -> list:
     return lines
 
 
-def _write_csv(path, header_lines, columns, rows):
+def _write_lines(path, lines):
     try:
         with open(path, "w") as fh:
-            for line in header_lines:
+            for line in lines:
                 fh.write(line + "\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) or
-                                  isinstance(v, (int, np.floating)) else str(v)
-                                  for v in row) + "\n")
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
+
+
+def _write_csv(path, header_lines, columns, rows):
+    body = (",".join(_fmt(v) if isinstance(v, (float, int, np.floating)) else str(v)
+                     for v in row) for row in rows)
+    _write_lines(path, [*header_lines, ",".join(columns), *body])
 
 
 class IOFailure(OSError):
@@ -476,17 +478,15 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
             res = classical_collapse(grid, bounds, seed,
                                      grouping=block.get("grouping", "d"),
                                      n_bootstrap=int(block.get("n_bootstrap", 0)))
-            from .collapse import _classical_points
-            pts = _classical_points(grid, (res.nu, res.eta, res.z,
-                                           res.critical_value, res.amplitude),
-                                    block.get("grouping", "d"))
+            pts = classical_points(grid, (res.nu, res.eta, res.z,
+                                          res.critical_value, res.amplitude),
+                                   block.get("grouping", "d"))
             pt_cols = ["ln_tau_scaled", "ln_d_over_xi", "ln_y"]
         else:
             res = quantum_collapse(grid, bounds, seed,
                                    n_bootstrap=int(block.get("n_bootstrap", 0)))
-            from .collapse import _quantum_points
-            pts = _quantum_points(grid, (res.nu, res.eta, res.z,
-                                         res.critical_value, res.amplitude))
+            pts = quantum_points(grid, (res.nu, res.eta, res.z,
+                                        res.critical_value, res.amplitude))
             pt_cols = ["ln_delta_tau", "ln_d_delta", "ln_delta_over_T", "ln_y"]
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -504,14 +504,7 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
     if res.covariance is not None:
         for i, ni in enumerate(res.param_names):
             kv.append((f"var_{ni}", _fmt(res.covariance[i, i])))
-    try:
-        with open(out, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            for k, v in kv:
-                fh.write(f"{k} = {v}\n")
-    except OSError as e:
-        raise IOFailure(f"cannot write {out}: {e}") from e
+    _write_lines(out, lines + [f"{k} = {v}" for k, v in kv])
     pts_path = os.path.splitext(out)[0] + ".points.csv"
     _write_csv(pts_path, lines, pt_cols, [tuple(map(float, row)) for row in pts])
     if not res.converged:
@@ -526,7 +519,7 @@ def cmd_oracle(cfg: dict, out: str, seed=0) -> int:
     seq = _build_sequence(_sequence_block(cfg))
     lattice = LatticeSpec(L=int(block.get("L", 64)), a=float(block.get("a", 1.0)))
     n_traces = int(block.get("n_traces", 400))
-    n_pulses = max(1, seq.n_pulses if seq.kind == "cpmg" else 1)
+    n_pulses = max(1, seq.switches().size)
     dt = float(block.get("dt", seq.tau / (40.0 * n_pulses)))
     n_steps = int(round(seq.tau / dt))
     dt = seq.tau / n_steps  # keep switches on-grid
@@ -536,18 +529,9 @@ def cmd_oracle(cfg: dict, out: str, seed=0) -> int:
     ref = mode_sum_phi_squared(model, geom, lattice, seq)
     z = (mc - ref) / se if se > 0 else 0.0
     lines = _provenance_lines("oracle", cfg, seed)
-    try:
-        with open(out, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            fh.write(f"mc_estimate = {_fmt(mc)}\n")
-            fh.write(f"mc_stderr = {_fmt(se)}\n")
-            fh.write(f"mode_sum = {_fmt(ref)}\n")
-            fh.write(f"z_score = {_fmt(z)}\n")
-            fh.write(f"n_traces = {n_traces}\n")
-            fh.write(f"dt = {_fmt(dt)}\n")
-    except OSError as e:
-        raise IOFailure(f"cannot write {out}: {e}") from e
+    _write_lines(out, lines + [f"mc_estimate = {_fmt(mc)}", f"mc_stderr = {_fmt(se)}",
+                               f"mode_sum = {_fmt(ref)}", f"z_score = {_fmt(z)}",
+                               f"n_traces = {n_traces}", f"dt = {_fmt(dt)}"])
     if block.get("emit_traces"):
         tr_path = os.path.splitext(out)[0] + ".traces.npz"
         try:
@@ -570,23 +554,18 @@ def cmd_estimate_t2(cfg: dict, out: str, seed=None) -> int:
     xi = float(block["xi_nm"]) * 1e-9
     t2 = cri3_t2_estimate(mat, T, d, xi)
     lines = _provenance_lines("estimate-t2", cfg, seed)
-    try:
-        with open(out, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            fh.write("formula: 1/T2 = 2 (g_sigma mu_B/(2 hbar))^2 "
-                     "* (g_s mu_B mu_0 S)^2/(16 pi a^4 d^2) "
-                     "* hbar k_B T xi^4/(J^2 a^4)\n")
-            fh.write(f"J_meV = {_fmt(block['J_meV'])}\n")
-            fh.write(f"a_nm = {_fmt(block['a_nm'])}\n")
-            fh.write(f"S = {_fmt(block['S'])}\n")
-            fh.write(f"T_K = {_fmt(T)}\n")
-            fh.write(f"d_nm = {_fmt(block['d_nm'])}\n")
-            fh.write(f"xi_nm = {_fmt(block['xi_nm'])}\n")
-            fh.write(f"t2_seconds = {_fmt(t2)}\n")
-            fh.write(f"t2_microseconds = {_fmt(t2 * 1e6)}\n")
-    except OSError as e:
-        raise IOFailure(f"cannot write {out}: {e}") from e
+    _write_lines(out, lines + [
+        "formula: 1/T2 = 2 (g_sigma mu_B/(2 hbar))^2 "
+        "* (g_s mu_B mu_0 S)^2/(16 pi a^4 d^2) "
+        "* hbar k_B T xi^4/(J^2 a^4)",
+        f"J_meV = {_fmt(block['J_meV'])}",
+        f"a_nm = {_fmt(block['a_nm'])}",
+        f"S = {_fmt(block['S'])}",
+        f"T_K = {_fmt(T)}",
+        f"d_nm = {_fmt(block['d_nm'])}",
+        f"xi_nm = {_fmt(block['xi_nm'])}",
+        f"t2_seconds = {_fmt(t2)}",
+        f"t2_microseconds = {_fmt(t2 * 1e6)}"])
     return 0
 
 
@@ -650,9 +629,6 @@ def main(argv=None) -> int:
         # engine-level rejection of an unphysical parameter combination
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except IOFailure as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 4
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4

@@ -30,7 +30,9 @@ __all__ = [
     "CollapseResult",
     "collapse_quality",
     "classical_collapse",
+    "classical_points",
     "quantum_collapse",
+    "quantum_points",
     "tc_locate",
 ]
 
@@ -179,7 +181,12 @@ def collapse_quality(points, *, k: int = 16) -> float:
     return float(resid)
 
 
-def _classical_points(grid: SweepGrid, params, grouping: str):
+def classical_points(grid: SweepGrid, params, grouping: str):
+    """Rows (ln tau-scaling, ln d/xi, ln y) of the classical collapse at params.
+
+    params = (nu, eta, z, T_c, xi0); grouping "d" or "xi" as in
+    classical_collapse.
+    """
     nu, eta, z, tc, xi0 = params
     dt = np.abs(grid.T - tc)
     floor = 1e-9 * max(float(np.median(np.abs(grid.T))), 1e-30)
@@ -193,7 +200,9 @@ def _classical_points(grid: SweepGrid, params, grouping: str):
     return np.column_stack([x1, x2, yv])
 
 
-def _quantum_points(grid: SweepGrid, params):
+def quantum_points(grid: SweepGrid, params):
+    """Rows (ln Delta tau, ln d Delta^{1/z}, ln Delta/T, ln y) of the quantum
+    collapse at params = (nu, eta, z, lambda_c, Delta0)."""
     nu, eta, z, lc, delta0 = params
     dl = np.abs(grid.lam - lc)
     floor = 1e-9 * max(float(np.median(np.abs(grid.lam))) , 1e-30)
@@ -280,11 +289,11 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         p[amp_i] = math.exp(u[amp_i])
         return p, u
 
-    def objective(u_free):
+    def objective(u_free, g=grid):
         p, u = to_params(u_free)
         pen = np.sum(((np.asarray(u_free) - u[free]) / width[free]) ** 2) \
             if n_free else 0.0
-        return _normalized_quality(build(grid, p), k) * (1.0 + pen) + pen
+        return _normalized_quality(build(g, p), k) * (1.0 + pen) + pen
 
     if n_free == 0:
         p, _ = to_params(np.empty(0))
@@ -332,8 +341,7 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         u2 = u_full.copy()
         step = 0.05 * width[i]
         u2[i] = u_full[i] + step if u_full[i] + step <= hi_u[i] else u_full[i] - step
-        p2 = u2.copy()
-        p2[amp_i] = math.exp(u2[amp_i])
+        p2, _ = to_params(u2[free])
         f2 = _normalized_quality(build(grid, p2), k)
         if abs(f2 - best_f) <= 1e-4 * max(best_f, 1e-12):
             degenerate.append(names[i])
@@ -346,14 +354,8 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         for r in range(n_bootstrap):
             idx = rng.integers(0, grid.size, grid.size)
             sub = grid.take(idx)
-
-            def obj_r(u_free):
-                p, u = to_params(u_free)
-                pen = np.sum(((np.asarray(u_free) - u[free]) / width[free]) ** 2)
-                return _normalized_quality(build(sub, p), k) * (1.0 + pen) + pen
-
-            res = _nelder_mead(obj_r, best_u, maxiter=60 * n_free, xatol=1e-4,
-                               fatol=1e-10)
+            res = _nelder_mead(lambda x: objective(x, sub), best_u, maxiter=60 * n_free,
+                               xatol=1e-4, fatol=1e-10)
             samples[r] = np.clip(res.x, lo_u[free], hi_u[free])
         cov_free = np.atleast_2d(np.cov(samples, rowvar=False))
         cov = np.zeros((len(names), len(names)))
@@ -393,7 +395,7 @@ def classical_collapse(grid: SweepGrid, bounds=None, seed: int = 0, *,
     _check_span(grid)
     names = ("nu", "eta", "z", "T_c", "xi0")
     bl = _resolve_bounds(names, bounds, grid, "T_c")
-    build = lambda g, p: _classical_points(g, p, grouping)
+    build = lambda g, p: classical_points(g, p, grouping)
     return _fit(grid, names, bl, seed, build, k=k, n_starts=n_starts,
                 n_bootstrap=n_bootstrap, kind="classical")
 
@@ -407,7 +409,7 @@ def quantum_collapse(grid: SweepGrid, bounds=None, seed: int = 0, *,
         raise ValueError("quantum collapse needs a lambda axis")
     names = ("nu", "eta", "z", "lambda_c", "Delta0")
     bl = _resolve_bounds(names, bounds, grid, "lambda_c")
-    return _fit(grid, names, bl, seed, _quantum_points, k=k, n_starts=n_starts,
+    return _fit(grid, names, bl, seed, quantum_points, k=k, n_starts=n_starts,
                 n_bootstrap=n_bootstrap, kind="quantum")
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "cpmg_delta_comb",
     "comb_tail_bound",
     "momentum_filter",
-    "dipolar_kernel",
     "toggling_sign",
     "jump_weights",
 ]
@@ -112,9 +111,8 @@ class PulseSequence:
 
     @property
     def pulse_spacing_frequency(self) -> float:
-        """omega_p = pi N/tau for CPMG; pi/tau otherwise (single segment scale)."""
-        n = self.n_pulses if self.kind == "cpmg" else max(1, len(self.switch_times))
-        return math.pi * n / self.tau
+        """omega_p = pi N/tau, N the number of sign flips (at least 1)."""
+        return math.pi * max(1, self.switches().size) / self.tau
 
 
 @dataclass(frozen=True)
@@ -208,13 +206,9 @@ def cpmg_filter(omega, seq: PulseSequence):
 
     near = (np.abs(den) < 1e-4) | (np.abs(wa) * tau < 1e-4)
     if np.any(near):
-        out[near] = np.atleast_1d(custom_filter(wa[near], _cpmg_as_custom(seq)))
+        out[near] = np.atleast_1d(custom_filter(wa[near], seq))
     out = out.reshape(w.shape)
     return _scalar_like(out, omega)
-
-
-def _cpmg_as_custom(seq: PulseSequence) -> PulseSequence:
-    return PulseSequence.custom(seq.switches(), seq.tau, seq.kappa)
 
 
 def filter_function(omega, seq: PulseSequence):
@@ -298,26 +292,3 @@ def momentum_filter(q, geom: GeometryConfig):
     out = geom.field_prefactor**2 * qq**3 * damp
     return _scalar_like(out, q)
 
-
-def dipolar_kernel(q_vec, geom: GeometryConfig, layer: int = 0) -> np.ndarray:
-    """Dipolar Maxwell kernel H(q) of one layer, 3x3 complex.
-
-    H = (e^{-q d}/(2 a^2)) [[qx^2/q,  qx qy/q,  i qx],
-                            [qx qy/q, qy^2/q,   i qy],
-                            [i qx,    i qy,    -q  ]]
-    so H_zz = -e^{-q d} q/(2 a^2); returns the zero tensor at q = 0.
-    """
-    qx, qy = float(q_vec[0]), float(q_vec[1])
-    qn = math.hypot(qx, qy)
-    out = np.zeros((3, 3), dtype=complex)
-    if qn == 0.0:
-        return out
-    depth = float(geom.depths[layer])
-    pref = math.exp(-qn * depth) / (2.0 * geom.a**2)
-    out[0, 0] = qx * qx / qn
-    out[0, 1] = out[1, 0] = qx * qy / qn
-    out[1, 1] = qy * qy / qn
-    out[0, 2] = out[2, 0] = 1j * qx
-    out[1, 2] = out[2, 1] = 1j * qy
-    out[2, 2] = -qn
-    return pref * out

@@ -11,12 +11,12 @@ ou_phase_kernel evaluates Q in closed form, one step per run of equal
 segments of the pulse sequence; phi_squared and decoherence_curve integrate
 it over q with every tau as one component of an adaptive quadrature call
 (up to 16 taus per call).  The oracle's lattice mode sums use the same kernel.
+N(omega) is the same q-integral with the kernel 2 r/(r^2 + omega^2).
 
 The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
-serves explicit spectrum callables: Gauss-Kronrod panels aligned with the
-filter lobes (width pi/tau) and a smooth 1/omega^2-envelope tail
-continuation.  N(omega) = \int_0^inf dq/(2pi) W_d(q) S(q, omega) is its own
-adaptive q-integral.
+serves explicit spectrum callables: blocks of lobes (width pi/tau), each
+one adaptive quadrature call, and a smooth 1/omega^2-envelope tail
+continuation.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from scipy.special import sici
 
 from .filters import (GeometryConfig, PulseSequence, filter_function,
                       jump_weights, momentum_filter)
-from .models import ModelA, ModelB, as_lorentzian_model, lorentzian_coupling, lorentzian_parameters
-from .quadrature import QuadratureError, _eval_panels, integrate, log_edges
+from .models import ModelA, ModelB, as_lorentzian_model, lorentzian_parameters
+from .quadrature import QuadratureError, integrate, log_edges
 
 __all__ = [
     "QubitParams",
@@ -151,24 +151,47 @@ def _resonance_q(model, omega: float) -> float | None:
     return None
 
 
-def _q_edges(m, d_min: float) -> list:
-    """Panel edges every q-integral shares: the momentum filter's scale and 1/xi."""
-    edges = [x / d_min for x in (0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0)]
+# panel edges of every q-integral, in units of 1/d_min: the momentum
+# filter's scale
+_Q_EDGES = (0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0)
+
+
+def _q_integral(m, geom: GeometryConfig, pref: float, kernel, rates, rtol: float):
+    r"""\int_0^{40/d_min} dq pref W_d(q) chi_q kernel(r_q), one component per kernel column.
+
+    kernel maps the mode rates r_q (shape (n,)) to an (n, k) array.  W_d is
+    suppressed by e^{-80} at q = 40/d_min.  Panel edges are the shared q/d
+    set, 1/xi, and half, one and two times the q where r_q equals each of
+    rates.  One integrate call; returns (values, errors, info).
+    """
+    d_min = float(np.min(geom.depths))
+    edges = [x / d_min for x in _Q_EDGES]
     xi = getattr(m, "xi", math.inf)
     if math.isfinite(xi):
         edges.append(1.0 / xi)
-    return edges
+    for rate in rates:
+        qr = _resonance_q(m, rate)
+        if qr is not None:
+            edges += [0.5 * qr, qr, 2.0 * qr]
+
+    def integrand(q):
+        chi_q, r_q = lorentzian_parameters(m, q)
+        return (pref * momentum_filter(q, geom) * chi_q)[:, None] * kernel(r_q)
+
+    vals, errs, info = integrate(integrand, 0.0, 40.0 / d_min, rtol=rtol, edges=edges,
+                                 max_panels=8192)
+    return np.atleast_1d(vals), np.atleast_1d(errs), info
 
 
 def noise_spectral_density(omega, model, geom: GeometryConfig, *,
-                           tol_q: float = 1e-8, q_max: float | None = None,
-                           full_output: bool = False):
-    """N(omega) by adaptive quadrature over q in (0, q_max].
+                           tol_q: float = 1e-8, full_output: bool = False):
+    r"""N(omega) = \int dq/2pi W_d(q) T chi_q 2 r_q/(r_q^2 + omega^2).
 
-    q_max defaults to 40/d (kernel suppressed by e^{-80} there).  omega may
-    be a scalar or an array; N is even in omega.  At a critical point
-    (xi = inf, Model A/B) the q-integral diverges at omega = 0 and inf is
-    returned for that entry rather than a silently unconverged number.
+    One adaptive q-integral per decade of |omega|, every omega in the decade
+    one component.  omega may be a scalar or an array; N is even in omega.
+    At a critical point (xi = inf, Model A/B) the q-integral diverges at
+    omega = 0 and inf is returned for that entry rather than a silently
+    unconverged number.
     """
     m = as_lorentzian_model(model)
     w_in = np.abs(np.asarray(omega, dtype=float))
@@ -177,10 +200,6 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
     w = np.atleast_1d(w_in)
     out = np.zeros(w.shape)
     err = np.zeros(w.shape)
-
-    d_min = float(np.min(geom.depths))
-    if q_max is None:
-        q_max = 40.0 / d_min
 
     if m.T == 0.0:
         pass  # classical FDT: no fluctuations at T = 0
@@ -196,13 +215,19 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
             dec[wt[order] == 0.0] = -np.inf
             vals = np.empty(wt.shape)
             errs = np.empty(wt.shape)
+            pref = m.T / (2.0 * math.pi)
             start = 0
             for i in range(1, wt.size + 1):
                 if i == wt.size or dec[i] != dec[start]:
                     sel = order[start:i]
-                    v, e = _noise_chunk(m, geom, wt[sel], tol_q, q_max, d_min)
-                    vals[sel] = v
-                    errs[sel] = e
+                    wc = wt[sel]
+
+                    def lorentzian(r, wc=wc):
+                        r = r[:, None]
+                        return 2.0 * r / (r * r + wc * wc)
+
+                    vals[sel], errs[sel], _ = _q_integral(
+                        m, geom, pref, lorentzian, (wc.min(), wc.max()), tol_q)
                     start = i
             out[todo] = vals
             err[todo] = errs
@@ -212,27 +237,6 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
     out = out.reshape(w_in.shape)
     err = err.reshape(w_in.shape)
     return (out, err) if full_output else out
-
-
-def _noise_chunk(m, geom, w_chunk, tol_q, q_max, d_min):
-    temp = m.T
-
-    def integrand(q):
-        _, r_q = lorentzian_parameters(m, q)
-        num = 2.0 * temp * np.asarray(lorentzian_coupling(m, q))
-        wd = momentum_filter(q, geom)
-        den = r_q[:, None] ** 2 + w_chunk[None, :] ** 2
-        return (wd * num / (2.0 * math.pi))[:, None] / den
-
-    edges = _q_edges(m, d_min)
-    for wv in (float(w_chunk.min()), float(w_chunk.max())):
-        qr = _resonance_q(m, wv)
-        if qr is not None and 0.0 < qr < q_max:
-            edges.append(qr)
-            edges.append(0.5 * qr)
-    vals, errs, _ = integrate(integrand, 0.0, q_max, rtol=tol_q,
-                              edges=edges, max_panels=8192)
-    return np.atleast_1d(vals), np.atleast_1d(errs)
 
 
 def sample_noise_spectrum(model, geom: GeometryConfig, omegas, *,
@@ -324,47 +328,42 @@ _TAU_BLOCK = 16
 def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *, rtol: float):
     r"""kappa^2 \int dq/2pi W_d(q) T chi_q Q(r_q; tau) for every tau.
 
-    q runs over (0, 40/d_min]; panel edges are the shared q/d set plus, per
-    tau, the momenta where r_q = 1/tau and r_q = pi n_seg/tau and half and
-    double of each.  Consecutive taus share one quadrature call, up to
-    _TAU_BLOCK of them.  Returns (values, errors, diagnostics); n_panels
-    and n_eval are summed over the calls.
+    Consecutive taus share one q-integral, up to _TAU_BLOCK of them; its
+    extra panel edges sit at the momenta where r_q = 1/tau and
+    r_q = pi n_seg/tau for each tau.  Returns (values, errors,
+    diagnostics); n_panels and n_eval are summed over the calls.
     """
     m = as_lorentzian_model(model)
     taus = np.asarray(taus, dtype=float)
-    d_min = float(np.min(geom.depths))
-    q_max = 40.0 / d_min
     pref = seq.kappa**2 * m.T / (2.0 * math.pi)
     n_seg = seq.switches().size + 1
     vals, errs = [], []
     diag = {"path": "time_domain", "n_panels": 0, "n_eval": 0}
     for start in range(0, taus.size, _TAU_BLOCK):
         block = taus[start:start + _TAU_BLOCK]
-
-        def integrand(q):
-            chi_q, r_q = lorentzian_parameters(m, q)
-            return (pref * momentum_filter(q, geom) * chi_q)[:, None] * \
-                ou_phase_kernel(r_q, seq, block)
-
-        edges = _q_edges(m, d_min)
-        for t in block:
-            for rate in (1.0 / t, math.pi * n_seg / t):
-                qr = _resonance_q(m, rate)
-                if qr is not None:
-                    edges += [0.5 * qr, qr, 2.0 * qr]
-        v, e, info = integrate(integrand, 0.0, q_max, rtol=rtol, edges=edges,
-                               max_panels=8192)
-        vals.append(np.atleast_1d(v))
-        errs.append(np.atleast_1d(e))
+        rates = [rate for t in block for rate in (1.0 / t, math.pi * n_seg / t)]
+        v, e, info = _q_integral(m, geom, pref, lambda r, b=block: ou_phase_kernel(r, seq, b),
+                                 rates, rtol)
+        vals.append(v)
+        errs.append(e)
         diag["n_panels"] += info["n_panels"]
         diag["n_eval"] += info["n_eval"]
     return np.concatenate(vals), np.concatenate(errs), diag
 
 
-def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float, max_lobes: int = 400000):
+# past this many lobes the tail continuation has still not taken over and
+# the omega path refuses the integral
+_MAX_LOBES = 400000
+
+
+def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     r"""(1/pi) \int_0^inf W(omega) N(omega) domega with lobe-aligned panels.
 
-    spectrum maps an omega array to N values.  Returns (value, error, diag).
+    spectrum maps an omega array to N values.  Blocks of 16, 32, ... up to
+    8192 lobes of width pi/tau are each one integrate call with an edge on
+    every lobe boundary, until the analytic tail estimate is small; a
+    smooth continuation with the exact 1/omega^2 envelope covers the rest.
+    Returns (value, error, diag).
     """
     tau, kap = seq.tau, seq.kappa
     if kap == 0.0:
@@ -373,58 +372,46 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float, max_lobes: in
     h = math.pi / tau
     _, jumps = jump_weights(seq)
     sj2 = float(np.sum(jumps**2))
-    n_seg = max(1, seq.n_pulses if seq.kind == "cpmg" else len(seq.switch_times))
-    n_eval = 0
+    n_seg = max(1, seq.switches().size)
 
     def f(w):
         return filter_function(w, seq) * spectrum(w) / math.pi
 
-    def panels(lo, hi):
-        nonlocal n_eval
-        n_eval += 15 * lo.size
-        k, e = _eval_panels(f, lo, hi)
-        return k[:, 0], e[:, 0]
-
-    # phase 1: extend lobe panels until the analytic tail estimate is small
-    total = 0.0
-    err = 0.0
-    lo_list, hi_list, val_list, err_list = [], [], [], []
-    # the smooth continuation below absorbs the 1/omega^2-envelope tail, so
-    # extension only has to run until the oscillatory residual of that
-    # continuation, ~(3(1+n_seg)/(tau Omega)) * tail, is inside the budget
+    # W N >= 0, so blocks each within rtol of their own value sum to within
+    # rtol of the total.  The smooth continuation below absorbs the
+    # 1/omega^2-envelope tail, so extension only has to run until the
+    # oscillatory residual of that continuation, ~(3(1+n_seg)/(tau Omega))
+    # * tail, is inside the budget.
+    total = err = 0.0
+    n_panels = n_eval = 0
     osc_per_omega = 3.0 * (1.0 + n_seg) / tau
-    k_next = 0
+    k = 0
     block = 16
     while True:
-        k_hi = min(k_next + block, max_lobes)
-        lo_b = h * np.arange(k_next, k_hi)
-        hi_b = lo_b + h
-        v, e = panels(lo_b, hi_b)
-        lo_list.append(lo_b); hi_list.append(hi_b)
-        val_list.append(v); err_list.append(e)
-        total += float(v.sum())
-        k_next = k_hi
-        omega_end = k_next * h
+        k_hi = min(k + block, _MAX_LOBES)
+        # the panel cap allows 60 rounds of up to 4096 splits each
+        v, e, info = integrate(f, k * h, k_hi * h, rtol=rtol, edges=h * np.arange(k + 1, k_hi),
+                               max_panels=(k_hi - k) + 60 * 4096)
+        total += v
+        err += e
+        n_panels += info["n_panels"]
+        n_eval += info["n_eval"]
+        k = k_hi
+        omega_end = k * h
         n_end = float(np.max(spectrum(np.array([omega_end]))))
         tail_est = kap**2 * sj2 * n_end / (math.pi * omega_end)
         resid_est = osc_per_omega / omega_end * tail_est
         scale = abs(total)
-        if scale > 0.0 and k_next >= 32 and \
+        if scale > 0.0 and k >= 32 and \
                 tail_est <= 0.05 * scale and resid_est <= 0.5 * rtol * scale:
             break
-        if k_next >= max_lobes:
+        if k >= _MAX_LOBES:
             raise QuadratureError(
                 "filter-weighted integral did not converge within the lobe budget",
                 value=total, error=tail_est)
         block = min(block * 2, 8192)
 
-    lo = np.concatenate(lo_list)
-    hi = np.concatenate(hi_list)
-    vals = np.concatenate(val_list)
-    errs = np.concatenate(err_list)
-
-    # phase 2: smooth tail continuation with the exact 1/omega^2 envelope
-    omega_end = float(hi[-1])
+    # smooth tail continuation with the exact 1/omega^2 envelope
     env = kap**2 * sj2 / math.pi
 
     def tail_f(w):
@@ -440,32 +427,9 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float, max_lobes: in
     total += tail_val
     err += tail_err + beyond + osc * abs(tail_val)
 
-    # phase 3: refine the worst panels until the budget is met
-    for _ in range(60):
-        tot_err = errs.sum() + err
-        if tot_err <= rtol * abs(total) or errs.sum() <= 0.25 * rtol * abs(total):
-            break
-        n_split = min(max(8, lo.size // 8), 4096)
-        idx = np.argpartition(errs, -n_split)[-n_split:]
-        idx = idx[errs[idx] > 0.0]
-        if idx.size == 0:
-            break
-        total -= vals[idx].sum()
-        mid = 0.5 * (lo[idx] + hi[idx])
-        nl = np.concatenate([lo[idx], mid])
-        nh = np.concatenate([mid, hi[idx]])
-        nv, ne = panels(nl, nh)
-        total += nv.sum()
-        keep = np.ones(lo.size, dtype=bool)
-        keep[idx] = False
-        lo = np.concatenate([lo[keep], nl])
-        hi = np.concatenate([hi[keep], nh])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
-
-    diag = {"path": "omega", "n_lobes": int(k_next), "omega_max": omega_end,
-            "n_panels": int(lo.size), "n_eval": int(n_eval)}
-    return float(total), float(errs.sum() + err), diag
+    diag = {"path": "omega", "n_lobes": int(k), "omega_max": omega_end,
+            "n_panels": int(n_panels), "n_eval": int(n_eval)}
+    return float(total), float(err), diag
 
 
 def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig | None = None,
@@ -595,7 +559,7 @@ def filter_weight_integral(seq: PulseSequence, *, rtol: float = 1e-9):
     """
     tau, kap = seq.tau, seq.kappa
     h = math.pi / tau
-    n_seg = max(1, seq.n_pulses if seq.kind == "cpmg" else len(seq.switch_times))
+    n_seg = max(1, seq.switches().size)
     k_end = 64 * n_seg
     omega_end = k_end * h
 

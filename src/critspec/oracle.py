@@ -231,7 +231,7 @@ def monte_carlo_phi_squared(traces, seq: PulseSequence):
             raise ValueError("tau must be an integer number of trace steps")
         if tr.duration < tau - 1e-9 * tau:
             raise ValueError(f"trace covers {tr.duration:.6g} < tau = {tau:.6g}")
-        n_pulses = max(1, seq.n_pulses if seq.kind == "cpmg" else 1)
+        n_pulses = max(1, seq.switches().size)
         if dt > tau / (20.0 * n_pulses) * (1.0 + 1e-12):
             raise ValueError("dt too coarse to resolve the pulse sequence: "
                              f"need dt <= tau/{20 * n_pulses}")

@@ -20,6 +20,7 @@ from critspec.noise import (
     sequence_at,
     t2_extract,
 )
+from critspec.quadrature import QuadratureError
 
 from conftest import make_sequence, radial_phi_squared, sequence_double_integral
 
@@ -224,6 +225,18 @@ def test_flat_spectrum_sequence_independence():
     expect = level * tau  # kappa^2 tau N0 with kappa = 1
     for v in vals:
         assert v == pytest.approx(expect, rel=1e-6)
+
+
+def test_unresolvable_spectrum_raises_instead_of_missing_tolerance():
+    # a spectrum that toggles every 1/3000 in omega cannot be resolved to
+    # 1e-9 within the panel cap; the omega path must refuse, not return a
+    # value whose error estimate is 3e-4
+    def spectrum(w):
+        aw = np.abs(w)
+        return np.where(aw < 20.0, 1.0 + np.mod(np.floor(3000.0 * aw), 2.0), 1.0)
+
+    with pytest.raises(QuadratureError):
+        phi_squared(1.0, PulseSequence.ramsey(1.0), spectrum=spectrum, tol_omega=1e-9)
 
 
 def test_monotone_in_tau_and_distance():

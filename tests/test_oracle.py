@@ -222,6 +222,10 @@ class TestMonteCarlo:
         monte_carlo_phi_squared([tr], PulseSequence.ramsey(2.0))
         with pytest.raises(ValueError, match="too coarse"):
             monte_carlo_phi_squared([tr], PulseSequence.cpmg(4, 2.0))
+        # 19 on-grid flips of a custom sequence need dt <= tau/380, as CPMG-19 does
+        flips = PulseSequence.custom(0.1 * np.arange(1, 20), 2.0)
+        with pytest.raises(ValueError, match="tau/380"):
+            monte_carlo_phi_squared([tr], flips)
 
     def test_switch_must_land_on_grid(self):
         # 27 steps of tau/27 put the Hahn flip at 13.5 steps

@@ -1,5 +1,7 @@
-"""Source hygiene: every module compiles without warnings."""
+"""Source hygiene: every module compiles without warnings and keeps to the
+public names of the others."""
 
+import ast
 import pathlib
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 import critspec
 
 SOURCES = sorted(pathlib.Path(critspec.__file__).parent.glob("*.py"))
+MODULES = {p.stem for p in SOURCES}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -16,3 +19,43 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source):
+    """Private names a module takes from other critspec modules.
+
+    Catches `from .mod import _name` and `mod._name` on a sibling module
+    imported by name (`from . import mod`).
+    """
+    tree = ast.parse(source)
+    found, siblings = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("critspec")):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{node.module or '.'}.{alias.name}")
+                elif node.module in (None, "critspec") and alias.name in MODULES:
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_no_private_names(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_check_catches_both_spellings():
+    src = ("from .quadrature import _helper, integrate\n"
+           "from . import collapse\n"
+           "from . import __version__\n"
+           "pts = collapse._builder\n")
+    assert private_imports(src) == ["quadrature._helper", "collapse._builder"]
