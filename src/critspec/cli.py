@@ -498,7 +498,8 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
           (amp_name, _fmt(res.amplitude)), ("residual", _fmt(res.residual)),
           ("converged", str(res.converged).lower()),
           ("clamped", str(res.clamped).lower()),
-          ("n_points", str(res.n_points)), ("seed", str(res.seed))]
+          ("n_points", str(res.n_points)), ("seed", str(res.seed)),
+          ("n_calls", str(res.n_calls))]
     if res.degenerate:
         kv.append(("degenerate", ";".join(res.degenerate)))
     if res.covariance is not None:

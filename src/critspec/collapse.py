@@ -111,6 +111,11 @@ class CollapseResult:
     covariance: np.ndarray | None = None
     degenerate: tuple = ()
     n_points: int = 0
+    # collapse-metric evaluations: screen, descents, restarts, degeneracy
+    # probes and bootstrap refits
+    n_calls: int = 0
+    # (value, params) at the end of each Nelder-Mead start, in start order
+    start_optima: tuple = ()
 
     def params(self) -> dict:
         vals = (self.nu, self.eta, self.z, self.critical_value, self.amplitude)
@@ -120,13 +125,15 @@ class CollapseResult:
 def _design(offsets):
     """Quadratic feature matrix [1, z_a, z_a z_b] for local regression."""
     m = offsets.shape[-1]
-    cols = [np.ones(offsets.shape[:-1])]
-    for a in range(m):
-        cols.append(offsets[..., a])
+    A = np.empty(offsets.shape[:-1] + (1 + m + m * (m + 1) // 2,))
+    A[..., 0] = 1.0
+    A[..., 1:m + 1] = offsets
+    c = m + 1
     for a in range(m):
         for b in range(a, m):
-            cols.append(offsets[..., a] * offsets[..., b])
-    return np.stack(cols, axis=-1)
+            np.multiply(offsets[..., a], offsets[..., b], out=A[..., c])
+            c += 1
+    return A
 
 
 def collapse_quality(points, *, k: int = 16) -> float:
@@ -161,12 +168,13 @@ def collapse_quality(points, *, k: int = 16) -> float:
     p = 1 + m + m * (m + 1) // 2
     kk = max(kk, min(n - 1, p + 2))
 
-    tree = cKDTree(Z)
-    _, idx = tree.query(Z, k=kk + 1)
-    neigh = np.empty((n, kk), dtype=int)
-    for i in range(n):
-        row = idx[i][idx[i] != i]
-        neigh[i] = row[:kk]
+    _, idx = cKDTree(Z).query(Z, k=kk + 1)
+    # drop each point's own column; where duplicates pushed the point out of
+    # its k+1 results, keep the first kk columns
+    own = idx == np.arange(n)[:, None]
+    col = np.where(own.any(axis=1), own.argmax(axis=1), kk)
+    cols = np.arange(kk)[None, :]
+    neigh = np.take_along_axis(idx, cols + (cols >= col[:, None]), axis=1)
 
     offsets = Z[neigh] - Z[:, None, :]
     A = _design(offsets)                     # (n, kk, p)
@@ -181,37 +189,60 @@ def collapse_quality(points, *, k: int = 16) -> float:
     return float(resid)
 
 
+def _classical_map(grid: SweepGrid, grouping: str):
+    """params -> classical collapse rows on grid.
+
+    The logs of the grid columns, the T floor and the output rows are made
+    once; every call overwrites and returns the same (n, 3) array.
+    """
+    ln_d, ln_tau, ln_T, ln_phi = (np.log(a) for a in (grid.d, grid.tau, grid.T, grid.phi_sq))
+    floor = 1e-9 * max(float(np.median(np.abs(grid.T))), 1e-30)
+    rows = np.empty((grid.size, 3))
+
+    def points(params):
+        nu, eta, z, tc, xi0 = params
+        dt = np.maximum(np.abs(grid.T - tc), floor)
+        ln_xi = math.log(xi0) - nu * np.log(dt)
+        rows[:, 0] = ln_tau - z * (ln_d if grouping == "d" else ln_xi)
+        rows[:, 1] = ln_d - ln_xi
+        rows[:, 2] = ln_phi + (2.0 + eta - z) * ln_d - ln_T - ln_tau
+        return rows
+
+    return points
+
+
+def _quantum_map(grid: SweepGrid):
+    """params -> quantum collapse rows on grid, made as in _classical_map."""
+    ln_d, ln_tau, ln_T, ln_phi = (np.log(a) for a in (grid.d, grid.tau, grid.T, grid.phi_sq))
+    floor = 1e-9 * max(float(np.median(np.abs(grid.lam))), 1e-30)
+    rows = np.empty((grid.size, 4))
+
+    def points(params):
+        nu, eta, z, lc, delta0 = params
+        dl = np.abs(grid.lam - lc)
+        ln_delta = math.log(delta0) + (z * nu) * np.log(np.maximum(dl, floor))
+        rows[:, 0] = ln_delta + ln_tau
+        rows[:, 1] = ln_d + ln_delta / z
+        rows[:, 2] = ln_delta - ln_T
+        rows[:, 3] = ln_phi - ((2.0 + eta - z) / z) * ln_T
+        return rows
+
+    return points
+
+
 def classical_points(grid: SweepGrid, params, grouping: str):
     """Rows (ln tau-scaling, ln d/xi, ln y) of the classical collapse at params.
 
     params = (nu, eta, z, T_c, xi0); grouping "d" or "xi" as in
     classical_collapse.
     """
-    nu, eta, z, tc, xi0 = params
-    dt = np.abs(grid.T - tc)
-    floor = 1e-9 * max(float(np.median(np.abs(grid.T))), 1e-30)
-    dt = np.maximum(dt, floor)
-    ln_xi = math.log(xi0) - nu * np.log(dt)
-    ln_d = np.log(grid.d)
-    ln_tau = np.log(grid.tau)
-    x2 = ln_d - ln_xi
-    x1 = ln_tau - z * (ln_d if grouping == "d" else ln_xi)
-    yv = np.log(grid.phi_sq) + (2.0 + eta - z) * ln_d - np.log(grid.T) - ln_tau
-    return np.column_stack([x1, x2, yv])
+    return _classical_map(grid, grouping)(params)
 
 
 def quantum_points(grid: SweepGrid, params):
     """Rows (ln Delta tau, ln d Delta^{1/z}, ln Delta/T, ln y) of the quantum
     collapse at params = (nu, eta, z, lambda_c, Delta0)."""
-    nu, eta, z, lc, delta0 = params
-    dl = np.abs(grid.lam - lc)
-    floor = 1e-9 * max(float(np.median(np.abs(grid.lam))) , 1e-30)
-    ln_delta = math.log(delta0) + (z * nu) * np.log(np.maximum(dl, floor))
-    x1 = ln_delta + np.log(grid.tau)
-    x2 = np.log(grid.d) + ln_delta / z
-    x3 = ln_delta - np.log(grid.T)
-    yv = np.log(grid.phi_sq) - ((2.0 + eta - z) / z) * np.log(grid.T)
-    return np.column_stack([x1, x2, x3, yv])
+    return _quantum_map(grid)(params)
 
 
 def _normalized_quality(points, k):
@@ -269,7 +300,8 @@ def _nelder_mead(fun, x0, *, maxiter, xatol, fatol):
                              "adaptive": True})
 
 
-def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
+def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
+    # prepare(grid) returns the params -> collapse rows map of that grid
     # amplitude parameter is optimized in log space
     amp_i = len(names) - 1
     lo = np.array([b[0] for b in bounds])
@@ -289,14 +321,23 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         p[amp_i] = math.exp(u[amp_i])
         return p, u
 
-    def objective(u_free, g=grid):
+    n_calls = 0
+
+    def quality(rows):
+        nonlocal n_calls
+        n_calls += 1
+        return _normalized_quality(rows, k)
+
+    points = prepare(grid)
+
+    def objective(u_free, points=points):
         p, u = to_params(u_free)
         pen = np.sum(((np.asarray(u_free) - u[free]) / width[free]) ** 2) \
             if n_free else 0.0
-        return _normalized_quality(build(g, p), k) * (1.0 + pen) + pen
+        return quality(points(p)) * (1.0 + pen) + pen
 
+    start_optima = []
     if n_free == 0:
-        p, _ = to_params(np.empty(0))
         best_u, best_f, success = np.empty(0), objective(np.empty(0)), True
     else:
         sob = qmc.Sobol(d=n_free, scramble=True, seed=seed)
@@ -310,6 +351,7 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
                                fatol=1e-12)
             xc = np.clip(res.x, lo_u[free], hi_u[free])
             cand.append((float(res.fun), tuple(xc), bool(res.success)))
+            start_optima.append((float(res.fun), tuple(map(float, to_params(xc)[0]))))
         cand.sort(key=lambda c: (c[0], c[1]))
         best_f, bx, success = cand[0]
         best_u = np.array(bx)
@@ -342,7 +384,7 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         step = 0.05 * width[i]
         u2[i] = u_full[i] + step if u_full[i] + step <= hi_u[i] else u_full[i] - step
         p2, _ = to_params(u2[free])
-        f2 = _normalized_quality(build(grid, p2), k)
+        f2 = quality(points(p2))
         if abs(f2 - best_f) <= 1e-4 * max(best_f, 1e-12):
             degenerate.append(names[i])
     degenerate = tuple(degenerate)
@@ -353,7 +395,7 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         samples = np.empty((n_bootstrap, n_free))
         for r in range(n_bootstrap):
             idx = rng.integers(0, grid.size, grid.size)
-            sub = grid.take(idx)
+            sub = prepare(grid.take(idx))
             res = _nelder_mead(lambda x: objective(x, sub), best_u, maxiter=60 * n_free,
                                xatol=1e-4, fatol=1e-10)
             samples[r] = np.clip(res.x, lo_u[free], hi_u[free])
@@ -369,7 +411,8 @@ def _fit(grid, names, bounds, seed, build, *, k, n_starts, n_bootstrap, kind):
         critical_value=float(params[3]), amplitude=float(params[4]),
         residual=float(best_f), converged=bool(success), clamped=clamped,
         seed=seed, kind=kind, param_names=tuple(names), covariance=cov,
-        degenerate=degenerate, n_points=grid.size)
+        degenerate=degenerate, n_points=grid.size, n_calls=n_calls,
+        start_optima=tuple(start_optima))
 
 
 def _check_span(grid):
@@ -395,8 +438,8 @@ def classical_collapse(grid: SweepGrid, bounds=None, seed: int = 0, *,
     _check_span(grid)
     names = ("nu", "eta", "z", "T_c", "xi0")
     bl = _resolve_bounds(names, bounds, grid, "T_c")
-    build = lambda g, p: classical_points(g, p, grouping)
-    return _fit(grid, names, bl, seed, build, k=k, n_starts=n_starts,
+    prepare = lambda g: _classical_map(g, grouping)
+    return _fit(grid, names, bl, seed, prepare, k=k, n_starts=n_starts,
                 n_bootstrap=n_bootstrap, kind="classical")
 
 
@@ -409,7 +452,7 @@ def quantum_collapse(grid: SweepGrid, bounds=None, seed: int = 0, *,
         raise ValueError("quantum collapse needs a lambda axis")
     names = ("nu", "eta", "z", "lambda_c", "Delta0")
     bl = _resolve_bounds(names, bounds, grid, "lambda_c")
-    return _fit(grid, names, bl, seed, quantum_points, k=k, n_starts=n_starts,
+    return _fit(grid, names, bl, seed, _quantum_map, k=k, n_starts=n_starts,
                 n_bootstrap=n_bootstrap, kind="quantum")
 
 

@@ -83,11 +83,11 @@ def integrate(f, a: float, b: float, *, rtol: float = 1e-8, atol: float = 0.0,
     """
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise ValueError("need finite b > a")
-    pts = [a, b]
+    pts = np.array([a, b], dtype=float)
     if edges is not None:
         e = np.asarray(edges, dtype=float)
-        pts.extend(e[(e > a) & (e < b)])
-    pts = np.unique(np.asarray(pts, dtype=float))
+        pts = np.concatenate((pts, e[(e > a) & (e < b)]))
+    pts = np.unique(pts)
     lo, hi = pts[:-1].copy(), pts[1:].copy()
     vals, errs = _eval_panels(f, lo, hi)
     scalar = vals.shape[1] == 1

@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,17 +38,45 @@ def ou_pair_covariance(rate, t_gap):
     return (x + math.expm1(-x)) / (rate * rate)
 
 
+def _jumps(n_switches):
+    # steps of f at 0, at each switch and at tau (f starts at +1)
+    return ([1.0] + [2.0 * (-1.0) ** (i + 1) for i in range(n_switches)]
+            + [-((-1.0) ** n_switches)])
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_moments(times, n_terms=40):
+    """c_n = -2/n! sum_{j<k} J_j J_k ((t_k - t_j)/tau)^n for n = 2, 3, ...
+
+    Taken exactly in rational arithmetic and rounded once: the signed pair
+    sum cancels to a small fraction of its terms at slow rates.
+    """
+    t = [Fraction(x) / Fraction(times[-1]) for x in times]
+    jumps = _jumps(len(times) - 2)
+    weight = {}
+    for j in range(len(t)):
+        for k in range(j + 1, len(t)):
+            gap = t[k] - t[j]
+            weight[gap] = weight.get(gap, 0) - 2 * int(jumps[j] * jumps[k])
+    return tuple(float(sum(w * g ** n for g, w in weight.items()) / math.factorial(n))
+                 for n in range(2, n_terms + 2))
+
+
 def sequence_double_integral(rate, switch_times, tau):
     """Independent reference for the OU phase variance of one mode.
 
     Q = int_0^tau int_0^tau f(t) f(s) e^{-r|t-s|} dt ds via the jump-pair
-    expansion; f toggles sign at each switch time.
+    expansion; f toggles sign at each switch time.  For r tau <= 4 the
+    pairs' Taylor series in r is summed with exact pair moments, since
+    the pair sum in floating point loses digits to cancellation there
+    (5e-3 relative for CPMG-64 at r tau = 2e-4).
     """
     times = [0.0] + list(switch_times) + [tau]
-    jumps = [1.0]
-    for i in range(len(switch_times)):
-        jumps.append(2.0 * (-1.0) ** (i + 1))
-    jumps.append(-((-1.0) ** len(switch_times)))
+    x = rate * tau
+    if x <= 4.0:
+        moments = _pair_moments(tuple(map(float, times)))
+        return tau * tau * sum(c * (-x) ** i for i, c in enumerate(moments))
+    jumps = _jumps(len(switch_times))
     total = 0.0
     for j in range(len(times)):
         for k in range(j + 1, len(times)):

@@ -401,6 +401,7 @@ class TestCollapse:
         assert float(report_value(out, "nu")) == pytest.approx(0.5, abs=0.05)
         assert float(report_value(out, "T_c")) == pytest.approx(1.0, abs=0.02)
         assert report_value(out, "converged") == "true"
+        assert int(report_value(out, "n_calls")) > 0
         pts = str(tmp_path / "report.points.csv")
         cols, data_pts = load_rows(pts)
         assert cols == ["ln_tau_scaled", "ln_d_over_xi", "ln_y"]

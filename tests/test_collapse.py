@@ -9,14 +9,18 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from critspec import collapse
 from critspec.collapse import (
     CollapseResult,
     SweepGrid,
     _nelder_mead,
     classical_collapse,
+    classical_points,
     collapse_quality,
     quantum_collapse,
+    quantum_points,
     tc_locate,
 )
 from critspec.filters import GeometryConfig, PulseSequence
@@ -67,6 +71,132 @@ class TestCollapseQuality:
             collapse_quality(pts)
         with pytest.raises(ValueError):
             collapse_quality(np.ones(30))
+
+
+def _reference_design(offsets):
+    # the list-stacking feature matrix the vectorised metric replaced
+    m = offsets.shape[-1]
+    cols = [np.ones(offsets.shape[:-1])]
+    for a in range(m):
+        cols.append(offsets[..., a])
+    for a in range(m):
+        for b in range(a, m):
+            cols.append(offsets[..., a] * offsets[..., b])
+    return np.stack(cols, axis=-1)
+
+
+def _reference_quality(points, *, k=16):
+    # the metric with its per-row neighbour loop, as it was before the loop
+    # was vectorised; collapse_quality must match it bit for bit
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 2:
+        raise ValueError("points must be rows of (coords..., y)")
+    n = pts.shape[0]
+    if n < 10:
+        raise ValueError("collapse quality needs at least 10 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    X = pts[:, :-1]
+    y = pts[:, -1]
+    y = y - y.mean()
+    sd = X.std(axis=0)
+    live = sd > 1e-12 * (np.abs(X.mean(axis=0)) + 1.0)
+    if not np.any(live):
+        raise ValueError("all scaling coordinates are degenerate (single bin)")
+    Z = (X[:, live] - X.mean(axis=0)[live]) / sd[live]
+    m = Z.shape[1]
+    kk = min(k, n - 1)
+    p = 1 + m + m * (m + 1) // 2
+    kk = max(kk, min(n - 1, p + 2))
+
+    tree = cKDTree(Z)
+    _, idx = tree.query(Z, k=kk + 1)
+    neigh = np.empty((n, kk), dtype=int)
+    for i in range(n):
+        row = idx[i][idx[i] != i]
+        neigh[i] = row[:kk]
+
+    offsets = Z[neigh] - Z[:, None, :]
+    A = _reference_design(offsets)
+    At = A.transpose(0, 2, 1)
+    G = At @ A
+    ridge = 1e-8 * np.trace(G, axis1=1, axis2=2)[:, None, None] / p + 1e-30
+    G = G + ridge * np.eye(p)[None]
+    b = At @ y[neigh][..., None]
+    coef = np.linalg.solve(G, b)
+    y_hat = coef[:, 0, 0]
+    resid = np.mean((y - y_hat) ** 2) / (1.0 + p / kk)
+    return float(resid)
+
+
+def _self_dropped_rows(points, k):
+    """Rows whose own index is missing from their k+1 nearest neighbours."""
+    X = np.asarray(points, dtype=float)[:, :-1]
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    kk = min(k, len(X) - 1)
+    _, idx = cKDTree(Z).query(Z, k=kk + 1)
+    return int(np.sum(~np.any(idx == np.arange(len(X))[:, None], axis=1)))
+
+
+class TestQualityBitIdentity:
+    """The vectorised neighbour selection and design matrix change no bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop_on_duplicate_heavy_lattices(self, m, seed):
+        rng = np.random.default_rng(100 * m + seed)
+        n = int(rng.integers(12, 120))
+        k = int(rng.choice([4, 8, 16]))
+        X = rng.integers(0, int(rng.integers(2, 6)), size=(n, m)).astype(float)
+        pts = np.column_stack([X, rng.standard_normal(n)])
+        assert collapse_quality(pts, k=k) == _reference_quality(pts, k=k)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_point_pushed_out_of_its_own_query(self, m):
+        # 40 copies of each lattice site: more than k+1 points coincide, so
+        # the tree returns k+1 twins and some rows do not contain themselves
+        rng = np.random.default_rng(7 + m)
+        sites = np.arange(3 ** m)
+        X = np.array(np.unravel_index(np.repeat(sites, 40), (3,) * m), dtype=float).T
+        pts = np.column_stack([X, rng.standard_normal(len(X))])
+        assert _self_dropped_rows(pts, 16) > 0
+        assert collapse_quality(pts) == _reference_quality(pts)
+
+    def test_same_errors_as_loop(self):
+        for pts in (np.ones((9, 3)), np.ones(30),
+                    np.column_stack([np.ones(20), np.linspace(0, 1, 20)])):
+            with pytest.raises(ValueError) as new:
+                collapse_quality(pts)
+            with pytest.raises(ValueError) as ref:
+                _reference_quality(pts)
+            assert str(new.value) == str(ref.value)
+
+
+def _reference_classical_points(grid, params, grouping):
+    # classical_points as it was when it took every log per call
+    nu, eta, z, tc, xi0 = params
+    dt = np.abs(grid.T - tc)
+    floor = 1e-9 * max(float(np.median(np.abs(grid.T))), 1e-30)
+    dt = np.maximum(dt, floor)
+    ln_xi = math.log(xi0) - nu * np.log(dt)
+    ln_d = np.log(grid.d)
+    ln_tau = np.log(grid.tau)
+    x2 = ln_d - ln_xi
+    x1 = ln_tau - z * (ln_d if grouping == "d" else ln_xi)
+    yv = np.log(grid.phi_sq) + (2.0 + eta - z) * ln_d - np.log(grid.T) - ln_tau
+    return np.column_stack([x1, x2, yv])
+
+
+def _reference_quantum_points(grid, params):
+    nu, eta, z, lc, delta0 = params
+    dl = np.abs(grid.lam - lc)
+    floor = 1e-9 * max(float(np.median(np.abs(grid.lam))), 1e-30)
+    ln_delta = math.log(delta0) + (z * nu) * np.log(np.maximum(dl, floor))
+    x1 = ln_delta + np.log(grid.tau)
+    x2 = np.log(grid.d) + ln_delta / z
+    x3 = ln_delta - np.log(grid.T)
+    yv = np.log(grid.phi_sq) - ((2.0 + eta - z) / z) * np.log(grid.T)
+    return np.column_stack([x1, x2, x3, yv])
 
 
 class TestSweepGrid:
@@ -224,6 +354,28 @@ class TestClassicalCollapse:
         assert res.kind == "classical"
         assert res.n_points == classical_grid().size
 
+    @pytest.mark.parametrize("grouping", ["d", "xi"])
+    @pytest.mark.parametrize("tc", [1.0, 1.27])
+    def test_points_equal_per_call_logs(self, grouping, tc):
+        # tc = 1.0 sits on a grid temperature, so the |T - T_c| floor acts
+        g = classical_grid(jitter=0.05, seed=3)
+        params = (0.55, 0.05, 1.8, tc, 0.9)
+        np.testing.assert_array_equal(classical_points(g, params, grouping),
+                                      _reference_classical_points(g, params, grouping))
+
+    def test_records_metric_calls_and_start_optima(self, monkeypatch):
+        calls = []
+        real = collapse.collapse_quality
+        monkeypatch.setattr(collapse, "collapse_quality",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        res = classical_collapse(classical_grid(jitter=0.05, seed=21), bounds=PIN_EZ,
+                                 seed=9, k=8, n_starts=3, n_bootstrap=2)
+        assert res.n_calls == len(calls) > 0
+        assert len(res.start_optima) == 3
+        assert res.residual <= min(v for v, _ in res.start_optima)
+        for _, p in res.start_optima:
+            assert len(p) == 5 and (p[1], p[2]) == (ETA_C, Z_C)
+
     def test_bootstrap_interval_covers_truth(self):
         # +-1 sigma from 100 resamples should contain the generating nu in
         # >= 60% of 50 noisy trials
@@ -277,6 +429,14 @@ def quantum_grid(lambda_dependent=True):
 
 
 class TestQuantumCollapse:
+    @pytest.mark.parametrize("lc", [2.2, 2.05])
+    def test_points_equal_per_call_logs(self, lc):
+        # lc = 2.2 sits on a grid lambda, so the |lambda - lambda_c| floor acts
+        g = quantum_grid()
+        params = (1.1, 0.1, 1.9, lc, 0.8)
+        np.testing.assert_array_equal(quantum_points(g, params),
+                                      _reference_quantum_points(g, params))
+
     def test_recovers_gap_exponent_product(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

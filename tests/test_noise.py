@@ -161,6 +161,18 @@ def test_ou_kernel_matches_high_precision_jump_pairs(name):
     np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [8, 64])
+def test_test_reference_matches_high_precision_jump_pairs(n):
+    # the double-precision reference behind radial_phi_squared must hold
+    # 1e-9 down to r tau = 2e-4, where a plain pair sum cancels
+    tau = 2.0
+    _, switches = make_sequence(f"cpmg-{n}", tau)
+    rates = np.geomspace(2e-4, 2e4, 25) / tau
+    ref = mp_jump_pair_kernel(rates, tau, 2 * n, list(range(1, 2 * n, 2)))
+    got = [sequence_double_integral(r, switches, tau) for r in rates]
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+
 def test_ou_kernel_tau_columns_rescale_the_sequence():
     seq = PulseSequence.cpmg(3, 1.0)
     rates = np.array([0.0, 0.2, 5.0])
