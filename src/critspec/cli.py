@@ -145,7 +145,7 @@ _CONFIG_SCHEMA = {
             "properties": {
                 "L": {"type": "integer", "minimum": 4},
                 "a": {"type": "number", "exclusiveMinimum": 0},
-                "n_traces": {"type": "integer", "minimum": 1},
+                "n_traces": {"type": "integer", "minimum": 2},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "emit_traces": {"type": "boolean"},
             },
@@ -600,7 +600,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="thread budget (validated; every command runs in one process)")
+                        help="no effect: validated, then ignored "
+                             "(every command runs in one process)")
     parser.add_argument("--out", default=None, help="output file path")
     args = parser.parse_args(argv)
 

@@ -473,6 +473,13 @@ class TestOracle:
         assert float(report_value(out, "mc_stderr")) == 0.0
         assert float(report_value(out, "z_score")) == 0.0
 
+    def test_single_trace_exits_2(self, tmp_path):
+        # one trace has no standard error, so no z-score can be reported
+        cfg = write_cfg(tmp_path, {**ORACLE_CFG, "oracle": {"L": 16, "n_traces": 1}})
+        out = tmp_path / "oracle.txt"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_emit_traces_writes_archive(self, tmp_path):
         cfg = write_cfg(tmp_path, {**ORACLE_CFG,
                                    "oracle": {"L": 16, "n_traces": 5,

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from critspec.filters import GeometryConfig, PulseSequence
-from critspec.models import ModelA
-from critspec.noise import noise_spectral_density, phi_squared
+from critspec.models import ModelA, ModelB, lorentzian_parameters
+from critspec.noise import noise_spectral_density, ou_phase_kernel, phi_squared
 from critspec.oracle import (
+    MODE_CAP,
     FieldTrace,
     LatticeSpec,
     monte_carlo_phi_squared,
@@ -65,8 +66,9 @@ class TestLatticeSpec:
             LatticeSpec(L=16, a=bad_a)
 
     def test_mode_cap_guards_memory(self):
+        assert 2050**2 > MODE_CAP
         with pytest.raises(ValueError, match="mode cap"):
-            LatticeSpec(L=16, mode_cap=100)
+            LatticeSpec(L=2050)
 
     def test_small_lattice_warns(self):
         with pytest.warns(UserWarning, match="finite-size"):
@@ -146,9 +148,8 @@ class TestFieldTrace:
         assert not np.array_equal(a.samples, b.samples)
 
     def test_provenance_records_the_run(self):
-        tr = simulate_field_trace(A_FAR, GEOM, LAT, 0.5, 0.01, 13, trace_index=3,
-                                  probe_site=(5, 3))
-        for key in ("L", "a", "trace_index", "probe_site", "n_modes"):
+        tr = simulate_field_trace(A_FAR, GEOM, LAT, 0.5, 0.01, 13, trace_index=3)
+        for key in ("L", "a", "trace_index", "n_modes"):
             assert key in tr.provenance
         assert tr.provenance["trace_index"] == 3
 
@@ -166,19 +167,6 @@ class TestFieldTrace:
         truth = stationary_b_variance(A_FAR, GEOM, LAT)
         z = (vals.var(ddof=1) / truth - 1.0) / math.sqrt(2.0 / vals.size)
         assert abs(z) < 3.0
-
-    def test_probe_position_is_immaterial(self):
-        # translation invariance of the mode sum, checked statistically at
-        # two sites rather than assumed
-        truth = stationary_b_variance(A_FAR, GEOM, LAT)
-        for seed, site in [(11, (0, 0)), (12, (5, 3))]:
-            vals = np.array([
-                simulate_field_trace(A_FAR, GEOM, LAT, 0.01, 0.01, seed,
-                                     trace_index=i, probe_site=site).samples[0]
-                for i in range(1500)
-            ])
-            z = (vals.var(ddof=1) / truth - 1.0) / math.sqrt(2.0 / vals.size)
-            assert abs(z) < 3.0
 
 
 class TestMonteCarlo:
@@ -245,6 +233,46 @@ class TestMonteCarlo:
         mc, err = monte_carlo_phi_squared(headline_traces(), seq)
         truth = mode_sum_phi_squared(A_FAR, GEOM, LAT, seq)
         assert abs(mc - truth) < 3.0 * err
+
+
+def full_grid_sums(model, geom, lattice, seq, omegas):
+    """<B^2>, <phi^2> and N(omega) as plain sums over every q != 0 mode."""
+    L, a = lattice.L, lattice.a
+    n = np.arange(L) - L // 2
+    nx, ny = np.meshgrid(n, n, indexing="ij")
+    q = 2.0 * math.pi * np.hypot(nx, ny).ravel() / (L * a)
+    q = q[q > 0.0]
+    h2 = sum((q * np.exp(-q * d) / (2.0 * a**2)) ** 2 for d in geom.depths)
+    chi, r = lorentzian_parameters(model, q)
+    g = (2.0 * a * geom.field_prefactor / L) ** 2 * h2 * model.T * chi
+    phi2 = seq.kappa**2 * np.sum(g * ou_phase_kernel(r, seq)[:, 0])
+    density = [np.sum(2.0 * g * r / (r**2 + w**2)) for w in omegas]
+    return np.sum(g), phi2, density
+
+
+class TestShellTable:
+    GEOM2 = GeometryConfig(d=1.0, layer_offsets=(0.0, 1.5), field_prefactor=0.7)
+    MODELS = [ModelA(gamma0=1.0, J=1.0, xi=2.0, T=1.3),
+              ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0),
+              ModelB(J=1.0, sigma_s=1.0, xi=2.0, T=1.0)]
+
+    @pytest.mark.parametrize("L", [16, 64])
+    @pytest.mark.parametrize("model", MODELS, ids=["a-far", "a-crit", "b-far"])
+    def test_shell_sums_equal_full_grid_sums(self, L, model):
+        lat = LatticeSpec(L=L, a=1.3)
+        seq = PulseSequence.hahn(3.0)
+        omegas = np.array([0.0, 0.4, 5.0])
+        b2, phi2, density = full_grid_sums(model, self.GEOM2, lat, seq, omegas)
+        assert stationary_b_variance(model, self.GEOM2, lat) == pytest.approx(b2, rel=1e-12)
+        assert mode_sum_phi_squared(model, self.GEOM2, lat, seq) == pytest.approx(
+            phi2, rel=1e-12)
+        np.testing.assert_allclose(mode_sum_noise_density(model, self.GEOM2, lat, omegas),
+                                   density, rtol=1e-12)
+
+    def test_l64_simulates_456_shells(self):
+        tr = simulate_field_trace(A_FAR, GEOM, LatticeSpec(L=64), 0.01, 0.01, 0)
+        assert tr.provenance["n_shells"] == 456
+        assert tr.provenance["n_modes"] == 64**2 - 1
 
 
 class TestModeSums:
