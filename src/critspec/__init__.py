@@ -33,7 +33,7 @@ from .noise import (DecoherenceCurve, NoCrossingError, NoiseSpectrum,
                     noise_spectral_density, ou_phase_kernel, phi_squared,
                     sample_noise_spectrum, sequence_at, t2_extract)
 from .oracle import (FieldTrace, LatticeSpec, mode_sum_noise_density,
-                     mode_sum_phi_squared, monte_carlo_phi_squared, ou_mode_step,
+                     mode_sum_phi_squared, monte_carlo_phi_squared,
                      simulate_field_trace, stationary_b_variance)
 from .quadrature import QuadratureError, integrate, log_edges
 
@@ -62,7 +62,7 @@ __all__ = [
     "SweepGrid", "CollapseResult", "collapse_quality", "classical_collapse",
     "quantum_collapse", "tc_locate",
     # oracle
-    "LatticeSpec", "FieldTrace", "ou_mode_step", "simulate_field_trace",
+    "LatticeSpec", "FieldTrace", "simulate_field_trace",
     "monte_carlo_phi_squared", "mode_sum_phi_squared", "mode_sum_noise_density",
     "stationary_b_variance",
     # quadrature

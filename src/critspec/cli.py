@@ -135,7 +135,6 @@ _CONFIG_SCHEMA = {
                            "additionalProperties": {"type": "array",
                                                     "items": {"type": "number"},
                                                     "minItems": 2, "maxItems": 2}},
-                "grouping": {"enum": ["d", "xi"]},
                 "n_bootstrap": {"type": "integer", "minimum": 0},
             },
             "additionalProperties": False,
@@ -252,10 +251,10 @@ def _build_geometry(block: dict, *, d=None) -> GeometryConfig:
         raise ConfigError(f"bad geometry block: {e}") from e
 
 
-def _build_sequence(block: dict, *, tau=None) -> PulseSequence:
+def _build_sequence(block: dict) -> PulseSequence:
     block = dict(block or {})
     kind = block.get("kind", "ramsey")
-    t = float(tau if tau is not None else block.get("tau", 1.0))
+    t = float(block.get("tau", 1.0))
     kappa = float(block.get("kappa", 1.0))
     try:
         if kind == "ramsey":
@@ -264,9 +263,7 @@ def _build_sequence(block: dict, *, tau=None) -> PulseSequence:
             return PulseSequence.hahn(t, kappa)
         if kind == "cpmg":
             return PulseSequence.cpmg(int(block.get("n_pulses", 1)), t, kappa)
-        scale = t / float(block.get("tau", t))
-        times = [scale * x for x in block.get("switch_times", [])]
-        return PulseSequence.custom(times, t, kappa)
+        return PulseSequence.custom(block.get("switch_times", []), t, kappa)
     except ValueError as e:
         raise ConfigError(f"bad sequence block: {e}") from e
 
@@ -287,13 +284,11 @@ def _sequence_block(cfg: dict) -> dict:
     return block
 
 
-def _build_qubit(block: dict, seq_kappa: float) -> QubitParams:
-    block = dict(block or {})
-    t1 = block.get("t1")
+def _build_qubit(block: dict) -> QubitParams:
+    # qubit.kappa is not read here: _sequence_block moves it into the sequence
+    t1 = (block or {}).get("t1")
     try:
-        # _sequence_block has already reconciled qubit.kappa with the sequence
-        return QubitParams(kappa=seq_kappa,
-                           t1=math.inf if t1 is None else float(t1))
+        return QubitParams(t1=math.inf if t1 is None else float(t1))
     except ValueError as e:
         raise ConfigError(f"bad qubit block: {e}") from e
 
@@ -363,10 +358,9 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
     seq = _build_sequence(_sequence_block(cfg))
-    qubit = _build_qubit(cfg.get("qubit"), seq.kappa)
+    qubit = _build_qubit(cfg.get("qubit"))
     tol_q, tol_w = _tolerances(cfg)
-    curve = decoherence_curve(taus, seq, model, geom, qubit=qubit,
-                              tol_omega=tol_w, tol_q=tol_q)
+    curve = decoherence_curve(taus, seq, model, geom, tol_omega=tol_w, tol_q=tol_q)
     coh_inf = np.exp(-2.0 * curve.phi_sq)
     columns = ["tau", "phi_sq", "coherence", "err"]
     cols = [curve.taus, curve.phi_sq, coh_inf, curve.errors]
@@ -379,7 +373,7 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     if crossing.any() and not crossing.all():
         flag[int(np.argmax(crossing))] = 1
         try:
-            t2 = t2_extract(curve, qubit)
+            t2 = t2_extract(curve)
             header.insert(0, f"# t2_estimate: {_fmt(t2)}")
         except (NoCrossingError, ValueError):
             pass
@@ -476,11 +470,9 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
     try:
         if mode == "classical":
             res = classical_collapse(grid, bounds, seed,
-                                     grouping=block.get("grouping", "d"),
                                      n_bootstrap=int(block.get("n_bootstrap", 0)))
             pts = classical_points(grid, (res.nu, res.eta, res.z,
-                                          res.critical_value, res.amplitude),
-                                   block.get("grouping", "d"))
+                                          res.critical_value, res.amplitude))
             pt_cols = ["ln_tau_scaled", "ln_d_over_xi", "ln_y"]
         else:
             res = quantum_collapse(grid, bounds, seed,

@@ -189,7 +189,7 @@ def collapse_quality(points, *, k: int = 16) -> float:
     return float(resid)
 
 
-def _classical_map(grid: SweepGrid, grouping: str):
+def _classical_map(grid: SweepGrid):
     """params -> classical collapse rows on grid.
 
     The logs of the grid columns, the T floor and the output rows are made
@@ -203,7 +203,7 @@ def _classical_map(grid: SweepGrid, grouping: str):
         nu, eta, z, tc, xi0 = params
         dt = np.maximum(np.abs(grid.T - tc), floor)
         ln_xi = math.log(xi0) - nu * np.log(dt)
-        rows[:, 0] = ln_tau - z * (ln_d if grouping == "d" else ln_xi)
+        rows[:, 0] = ln_tau - z * ln_d
         rows[:, 1] = ln_d - ln_xi
         rows[:, 2] = ln_phi + (2.0 + eta - z) * ln_d - ln_T - ln_tau
         return rows
@@ -230,13 +230,10 @@ def _quantum_map(grid: SweepGrid):
     return points
 
 
-def classical_points(grid: SweepGrid, params, grouping: str):
-    """Rows (ln tau-scaling, ln d/xi, ln y) of the classical collapse at params.
-
-    params = (nu, eta, z, T_c, xi0); grouping "d" or "xi" as in
-    classical_collapse.
-    """
-    return _classical_map(grid, grouping)(params)
+def classical_points(grid: SweepGrid, params):
+    """Rows (ln tau/d^z, ln d/xi, ln y) of the classical collapse at
+    params = (nu, eta, z, T_c, xi0)."""
+    return _classical_map(grid)(params)
 
 
 def quantum_points(grid: SweepGrid, params):
@@ -259,6 +256,10 @@ _DEF_BOUNDS = {"nu": (0.25, 2.0), "eta": (-0.5, 1.0), "z": (0.5, 5.0)}
 def _resolve_bounds(names, bounds, grid, loc_name):
     out = []
     user = dict(bounds or {})
+    unknown = [name for name in user if name not in names]
+    if unknown:
+        raise ValueError(f"unknown bounds name(s) {', '.join(map(repr, unknown))}; "
+                         f"the fit parameters are {', '.join(names)}")
     for name in names:
         if name in user:
             lo, hi = map(float, user[name])
@@ -424,22 +425,19 @@ def _check_span(grid):
 
 
 def classical_collapse(grid: SweepGrid, bounds=None, seed: int = 0, *,
-                       grouping: str = "d", k: int = 16, n_starts: int = 8,
+                       k: int = 16, n_starts: int = 8,
                        n_bootstrap: int = 0) -> CollapseResult:
-    """Fit (nu, eta, z, T_c, xi0) by collapsing y = phi^2 d^{2+eta-z}/(T tau).
+    """Fit (nu, eta, z, T_c, xi0) by collapsing y = phi^2 d^{2+eta-z}/(T tau)
+    against (tau/d^z, d/xi).
 
-    grouping selects the scaling-variable pair: "d" collapses against
-    (tau/d^z, d/xi), "xi" against the equivalent (tau/xi^z, d/xi).
-    bounds maps parameter name to (lo, hi); lo == hi pins a parameter.
-    Deterministic for a given seed and grid.
+    bounds maps parameter name to (lo, hi); lo == hi pins a parameter, and a
+    name that is not a parameter is a ValueError.  Deterministic for a given
+    seed and grid.
     """
-    if grouping not in ("d", "xi"):
-        raise ValueError("grouping must be 'd' or 'xi'")
     _check_span(grid)
     names = ("nu", "eta", "z", "T_c", "xi0")
     bl = _resolve_bounds(names, bounds, grid, "T_c")
-    prepare = lambda g: _classical_map(g, grouping)
-    return _fit(grid, names, bl, seed, prepare, k=k, n_starts=n_starts,
+    return _fit(grid, names, bl, seed, _classical_map, k=k, n_starts=n_starts,
                 n_bootstrap=n_bootstrap, kind="classical")
 
 

@@ -54,14 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Probe qubit: coupling kappa = gamma/(2 hbar) and depolarization time T1."""
+    """Probe qubit depolarization time T1; the coupling kappa lives on PulseSequence."""
 
-    kappa: float = 1.0
     t1: float = math.inf
 
     def __post_init__(self):
-        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be finite and non-negative")
         if not self.t1 > 0.0:
             raise ValueError("T1 must be positive (inf allowed)")
 
@@ -462,8 +459,7 @@ def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig
 
 
 def decoherence_curve(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
-                      qubit: QubitParams | None = None, tol_omega: float = 1e-6,
-                      tol_q: float = 1e-8) -> DecoherenceCurve:
+                      tol_omega: float = 1e-6, tol_q: float = 1e-8) -> DecoherenceCurve:
     """Evaluate <phi^2> over a tau grid by the time-domain q-integral."""
     ts = np.sort(np.asarray(taus, dtype=float))
     if ts.size == 0 or np.any(ts <= 0.0):
@@ -471,8 +467,6 @@ def decoherence_curve(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
     vals, errs, diag = _time_domain(ts, seq, model, geom, rtol=min(tol_omega, tol_q))
     prov = {"tol_omega": tol_omega, "tol_q": tol_q, **diag,
             "kappa": seq.kappa, "kind": seq.kind}
-    if qubit is not None:
-        prov["t1"] = qubit.t1
     return DecoherenceCurve(taus=ts, phi_sq=np.maximum(vals, 0.0), errors=errs, seq=seq,
                             model=model, geom=geom, provenance=prov)
 
@@ -490,12 +484,12 @@ def coherence(tau, qubit: QubitParams, phi_sq):
     return out
 
 
-def t2_extract(curve: DecoherenceCurve, qubit: QubitParams | None = None) -> float:
+def t2_extract(curve: DecoherenceCurve) -> float:
     """Root of 2 <phi^2>(tau) = 1 by bracketing plus continuous refinement.
 
-    The crossing definition is T1-independent (qubit is accepted for
-    interface symmetry).  Refinement uses the curve's live evaluator when
-    present, otherwise a monotone log-log interpolant of the samples.
+    The crossing definition is T1-independent.  Refinement uses the curve's
+    live evaluator when present, otherwise a monotone log-log interpolant of
+    the samples.
     """
     ts = np.asarray(curve.taus, dtype=float)
     ys = 2.0 * np.asarray(curve.phi_sq, dtype=float) - 1.0

@@ -31,7 +31,6 @@ from .noise import ou_phase_kernel
 __all__ = [
     "LatticeSpec",
     "FieldTrace",
-    "ou_mode_step",
     "simulate_field_trace",
     "monte_carlo_phi_squared",
     "mode_sum_phi_squared",
@@ -73,22 +72,6 @@ class FieldTrace:
     @property
     def duration(self) -> float:
         return self.dt * (self.samples.size - 1)
-
-
-def ou_mode_step(value, r_q, v_q, dt, rng):
-    """Exact OU update over one step of length dt.
-
-    Exact for any dt: the conditional law of the OU process.  r_q = 0
-    (conserved q = 0 mode) leaves the value frozen; dt -> inf samples the
-    stationary distribution outright.
-    """
-    r = np.asarray(r_q, dtype=float)
-    v = np.asarray(v_q, dtype=float)
-    if np.any(r < 0.0) or np.any(v < 0.0):
-        raise ValueError("relaxation rate and variance must be non-negative")
-    decay = np.exp(-r * dt)
-    noise_var = v * (-np.expm1(-2.0 * r * dt))
-    return value * decay + rng.standard_normal(np.shape(value)) * np.sqrt(noise_var)
 
 
 def _shells(model, geom: GeometryConfig, lattice: LatticeSpec):

@@ -213,8 +213,8 @@ def test_criterion_10_t1_overlay():
     curve = decoherence_curve(taus, PulseSequence.ramsey(1.0), m, geom,
                               tol_omega=1e-6)
     t1 = 7.0
-    with_t1 = coherence(taus, QubitParams(kappa=1.0, t1=t1), curve.phi_sq)
-    without = coherence(taus, QubitParams(kappa=1.0, t1=math.inf), curve.phi_sq)
+    with_t1 = coherence(taus, QubitParams(t1=t1), curve.phi_sq)
+    without = coherence(taus, QubitParams(t1=math.inf), curve.phi_sq)
     worst = float(np.max(np.abs(with_t1 / (without * np.exp(-taus / t1)) - 1.0)))
     ok = worst <= 1e-12
     line = verdict(10, ok, f"worst relative deviation = {worst:.2e} "

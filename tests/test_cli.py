@@ -419,6 +419,16 @@ class TestCollapse:
         assert float(report_value(out, "T_c")) == 1.05
         assert float(report_value(out, "nu")) == 0.5
 
+    @pytest.mark.parametrize("extra, name", [({"bounds": {"Nu": [0.3, 0.8]}}, "Nu"),
+                                             ({"grouping": "d"}, "grouping")])
+    def test_unknown_name_exits_2(self, tmp_path, capsys, extra, name):
+        data = str(tmp_path / "sweep.csv")
+        synthetic_classical_csv(data)
+        cfg = write_cfg(tmp_path, {"collapse": {"mode": "classical", "data": data, **extra}})
+        assert main(["collapse", "--config", cfg,
+                     "--out", str(tmp_path / "r.txt")]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+
     def test_malformed_data_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("d,tau,T,phi_sq\n1,1,1,0.5\n1,2,huh,0.5\n")

@@ -172,7 +172,7 @@ class TestQualityBitIdentity:
             assert str(new.value) == str(ref.value)
 
 
-def _reference_classical_points(grid, params, grouping):
+def _reference_classical_points(grid, params):
     # classical_points as it was when it took every log per call
     nu, eta, z, tc, xi0 = params
     dt = np.abs(grid.T - tc)
@@ -182,7 +182,7 @@ def _reference_classical_points(grid, params, grouping):
     ln_d = np.log(grid.d)
     ln_tau = np.log(grid.tau)
     x2 = ln_d - ln_xi
-    x1 = ln_tau - z * (ln_d if grouping == "d" else ln_xi)
+    x1 = ln_tau - z * ln_d
     yv = np.log(grid.phi_sq) + (2.0 + eta - z) * ln_d - np.log(grid.T) - ln_tau
     return np.column_stack([x1, x2, yv])
 
@@ -278,16 +278,6 @@ class TestClassicalCollapse:
         # the length-scale amplitude only translates the scaling axes
         assert "xi0" in res.degenerate
 
-    def test_groupings_agree_on_argmin(self):
-        res_d = classical_collapse(classical_grid(), bounds=PIN_EZ, seed=9,
-                                   k=8, n_starts=4, grouping="d")
-        res_x = classical_collapse(classical_grid(), bounds=PIN_EZ, seed=9,
-                                   k=8, n_starts=4, grouping="xi")
-        assert res_x.nu == pytest.approx(res_d.nu, abs=0.02)
-        assert res_x.critical_value == pytest.approx(res_d.critical_value, rel=0.01)
-        with pytest.raises(ValueError):
-            classical_collapse(classical_grid(), grouping="radial")
-
     def test_rescaled_data_same_argmin(self):
         g = classical_grid()
         g_scaled = SweepGrid(d=g.d, tau=g.tau, T=g.T, phi_sq=137.0 * g.phi_sq)
@@ -354,14 +344,18 @@ class TestClassicalCollapse:
         assert res.kind == "classical"
         assert res.n_points == classical_grid().size
 
-    @pytest.mark.parametrize("grouping", ["d", "xi"])
     @pytest.mark.parametrize("tc", [1.0, 1.27])
-    def test_points_equal_per_call_logs(self, grouping, tc):
+    def test_points_equal_per_call_logs(self, tc):
         # tc = 1.0 sits on a grid temperature, so the |T - T_c| floor acts
         g = classical_grid(jitter=0.05, seed=3)
         params = (0.55, 0.05, 1.8, tc, 0.9)
-        np.testing.assert_array_equal(classical_points(g, params, grouping),
-                                      _reference_classical_points(g, params, grouping))
+        np.testing.assert_array_equal(classical_points(g, params),
+                                      _reference_classical_points(g, params))
+
+    @pytest.mark.parametrize("name", ["Nu", "Tc", "lambda_c"])
+    def test_unknown_bound_name_rejected(self, name):
+        with pytest.raises(ValueError, match=repr(name)):
+            classical_collapse(classical_grid(), bounds=dict(PIN_EZ, **{name: (0.3, 0.8)}))
 
     def test_records_metric_calls_and_start_optima(self, monkeypatch):
         calls = []

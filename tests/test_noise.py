@@ -296,8 +296,8 @@ def test_t2_no_crossing_error_carries_bracket():
 
 
 def test_coherence_overlay_factorizes():
-    q_inf = QubitParams(kappa=1.0, t1=math.inf)
-    q_fin = QubitParams(kappa=1.0, t1=2.5)
+    q_inf = QubitParams(t1=math.inf)
+    q_fin = QubitParams(t1=2.5)
     phi2 = 0.42
     assert coherence(1.3, q_inf, phi2) == pytest.approx(math.exp(-2 * 0.42))
     assert coherence(1.3, q_fin, phi2) == pytest.approx(
@@ -336,9 +336,9 @@ def test_sequence_at_rescales_switch_times():
 
 def test_qubit_params_validation():
     with pytest.raises(ValueError):
-        QubitParams(kappa=1.0, t1=0.0)
+        QubitParams(t1=0.0)
     with pytest.raises(ValueError):
-        QubitParams(kappa=1.0, t1=-3.0)
+        QubitParams(t1=-3.0)
 
 
 def test_deterministic_reruns_bit_identical():

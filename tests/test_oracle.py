@@ -22,7 +22,6 @@ from critspec.oracle import (
     monte_carlo_phi_squared,
     mode_sum_noise_density,
     mode_sum_phi_squared,
-    ou_mode_step,
     simulate_field_trace,
     stationary_b_variance,
 )
@@ -40,18 +39,6 @@ def headline_traces():
         simulate_field_trace(A_FAR, GEOM, LAT, 2.0, 0.005, 20260816, trace_index=i)
         for i in range(400)
     )
-
-
-@functools.lru_cache(maxsize=1)
-def single_mode_chain():
-    """100k-step OU chain at r=0.8, v=1.7, dt=0.25, seed 4242."""
-    r_q, v_q, dt = 0.8, 1.7, 0.25
-    rng = np.random.default_rng(4242)
-    x = np.empty(100_000)
-    x[0] = math.sqrt(v_q) * rng.standard_normal()
-    for i in range(1, x.size):
-        x[i] = ou_mode_step(x[i - 1], r_q, v_q, dt, rng)
-    return x, r_q, v_q, dt
 
 
 class TestLatticeSpec:
@@ -78,48 +65,6 @@ class TestLatticeSpec:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             LatticeSpec(L=16)
-
-
-class TestOuModeStep:
-    def test_zero_rate_freezes_the_mode(self):
-        rng = np.random.default_rng(0)
-        x = np.array([0.3, -1.7, 42.0])
-        out = ou_mode_step(x, 0.0, 2.0, 0.5, rng)
-        assert np.array_equal(out, x)
-
-    def test_negative_rate_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="non-negative"):
-            ou_mode_step(1.0, -0.1, 1.0, 0.5, rng)
-
-    def test_negative_variance_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="non-negative"):
-            ou_mode_step(1.0, 0.1, -1.0, 0.5, rng)
-
-    def test_huge_step_forgets_the_initial_value(self):
-        # decay factor underflows to zero, so the draw is exactly stationary
-        rng = np.random.default_rng(5)
-        a = ou_mode_step(np.full(20_000, 1e6), 1.3, 0.9, 1e9, rng)
-        rng = np.random.default_rng(5)
-        b = ou_mode_step(np.full(20_000, -3.7), 1.3, 0.9, 1e9, rng)
-        assert np.array_equal(a, b)
-        z = (a.var(ddof=1) - 0.9) / (0.9 * math.sqrt(2.0 / a.size))
-        assert abs(z) < 3.0
-
-    def test_long_run_variance_matches_target(self):
-        x, r_q, v_q, dt = single_mode_chain()
-        rho = math.exp(-r_q * dt)
-        # variance of the sample variance for a Gaussian AR(1) sequence
-        sigma = math.sqrt(2.0 * v_q**2 / x.size * (1 + rho**2) / (1 - rho**2))
-        assert abs(x.var(ddof=1) - v_q) < 3.0 * sigma
-
-    def test_autocorrelation_rate_within_5_percent(self):
-        x, r_q, _, dt = single_mode_chain()
-        x0 = x - x.mean()
-        rho1 = float(np.dot(x0[:-1], x0[1:]) / np.dot(x0, x0))
-        r_fit = -math.log(rho1) / dt
-        assert abs(r_fit / r_q - 1.0) < 0.05
 
 
 class TestFieldTrace:
