@@ -11,6 +11,12 @@ predicted by a quadratic fit to its nearest neighbors in the scaling
 coordinates (leave-one-out), and the residual is the dof-corrected mean
 squared deviation.  Coordinates and y enter the objective in logs so the
 metric is invariant to an overall rescaling of the data.
+
+The amplitude xi0 (Delta0) only shifts the scaling coordinates by a
+constant, and the metric standardises them, so it cannot see the amplitude.
+The classical fit fixes xi0 = 1 unless the caller's bounds free it; the
+quantum fit keeps Delta0 free.  A pinned amplitude is listed in
+CollapseResult.degenerate, since the collapse does not identify it.
 """
 
 from __future__ import annotations
@@ -109,6 +115,8 @@ class CollapseResult:
     kind: str
     param_names: tuple
     covariance: np.ndarray | None = None
+    # names the collapse does not identify: free directions along which the
+    # metric is flat, and a pinned amplitude
     degenerate: tuple = ()
     n_points: int = 0
     # collapse-metric evaluations: screen, descents, restarts, degeneracy
@@ -378,7 +386,9 @@ def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
     clamped = bool(np.any(free & ((u_full - lo_u < 1e-3 * np.maximum(width, 1)) |
                                   (hi_u - u_full < 1e-3 * np.maximum(width, 1)))))
 
-    # probe each free direction; flat objective marks an unidentifiable one
+    # probe each free direction; flat objective marks an unidentifiable one.
+    # A pinned amplitude is not identified by the collapse either, so it is
+    # listed without a probe
     degenerate = []
     for i in np.flatnonzero(free):
         u2 = u_full.copy()
@@ -388,6 +398,8 @@ def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
         f2 = quality(points(p2))
         if abs(f2 - best_f) <= 1e-4 * max(best_f, 1e-12):
             degenerate.append(names[i])
+    if not free[amp_i]:
+        degenerate.append(names[amp_i])
     degenerate = tuple(degenerate)
 
     cov = None
@@ -431,12 +443,14 @@ def classical_collapse(grid: SweepGrid, bounds=None, seed: int = 0, *,
     against (tau/d^z, d/xi).
 
     bounds maps parameter name to (lo, hi); lo == hi pins a parameter, and a
-    name that is not a parameter is a ValueError.  Deterministic for a given
-    seed and grid.
+    name that is not a parameter is a ValueError.  xi0 is pinned at 1 unless
+    bounds give it: it only shifts ln(d/xi) by a constant, which the
+    standardised collapse metric cannot see, so searching it spends calls on
+    a flat direction.  Deterministic for a given seed and grid.
     """
     _check_span(grid)
     names = ("nu", "eta", "z", "T_c", "xi0")
-    bl = _resolve_bounds(names, bounds, grid, "T_c")
+    bl = _resolve_bounds(names, {"xi0": (1.0, 1.0), **(bounds or {})}, grid, "T_c")
     return _fit(grid, names, bl, seed, _classical_map, k=k, n_starts=n_starts,
                 n_bootstrap=n_bootstrap, kind="classical")
 

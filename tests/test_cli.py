@@ -402,6 +402,9 @@ class TestCollapse:
         assert float(report_value(out, "T_c")) == pytest.approx(1.0, abs=0.02)
         assert report_value(out, "converged") == "true"
         assert int(report_value(out, "n_calls")) > 0
+        # the amplitude is fixed, not fitted, and the report says so
+        assert report_value(out, "xi0") == "1"
+        assert report_value(out, "degenerate") == "xi0"
         pts = str(tmp_path / "report.points.csv")
         cols, data_pts = load_rows(pts)
         assert cols == ["ln_tau_scaled", "ln_d_over_xi", "ln_y"]

@@ -278,6 +278,17 @@ class TestClassicalCollapse:
         # the length-scale amplitude only translates the scaling axes
         assert "xi0" in res.degenerate
 
+    def test_amplitude_pinned_at_one_unless_bounds_free_it(self):
+        # the metric cannot see xi0, so default bounds fix it and name it
+        res = classical_collapse(classical_grid(), seed=9, k=8, n_starts=2)
+        assert res.amplitude == 1.0
+        assert "xi0" in res.degenerate
+        assert all(p[4] == 1.0 for _, p in res.start_optima)
+        free = classical_collapse(classical_grid(), bounds={"xi0": (1e-3, 1e3)},
+                                  seed=9, k=8, n_starts=2)
+        assert free.amplitude != 1.0
+        assert any(p[4] != 1.0 for _, p in free.start_optima)
+
     def test_rescaled_data_same_argmin(self):
         g = classical_grid()
         g_scaled = SweepGrid(d=g.d, tau=g.tau, T=g.T, phi_sq=137.0 * g.phi_sq)
