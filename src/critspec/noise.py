@@ -353,14 +353,54 @@ def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *, rtol:
 _MAX_LOBES = 400000
 
 
+def _jump_sines(seq: PulseSequence):
+    r"""G(omega) = sum_{k<l} J_k J_l sin(omega D_kl)/D_kl and a bound on |G|.
+
+    D_kl = u_l - u_k over the jumps of jump_weights.  G' is half the
+    oscillating part of omega^2 W/kappa^2 = |sum_k J_k e^{-i omega u_k}|^2,
+    the part the 1/omega^2 tail continuation drops.  Returns (lags, coefs,
+    g_sup) with G = sum coefs sin(omega lags)/lags and |G| <= g_sup.
+
+    Ramsey and CPMG jump on the grid tau/(2n), n = max(1, N), so equal lags
+    are merged by an autocorrelation and G is periodic; g_sup is the
+    maximum of |G| sampled at 16 points a lobe of width pi/tau.  A custom
+    sequence keeps every pair and takes g_sup = sum |coefs|/lags.
+    """
+    times, jumps = jump_weights(seq)
+    if seq.kind == "custom":
+        ii, jj = np.triu_indices(times.size, k=1)
+        lags, coefs = times[jj] - times[ii], jumps[ii] * jumps[jj]
+        return lags, coefs, float(np.sum(np.abs(coefs) / lags))
+    n_grid = 2 * max(1, seq.switches().size)
+    step = seq.tau / n_grid
+    train = np.zeros(n_grid + 1)
+    train[np.rint(times / step).astype(int)] = jumps
+    power = np.abs(np.fft.rfft(train, 2 * n_grid + 2)) ** 2
+    coefs = np.rint(np.fft.irfft(power, 2 * n_grid + 2)[1:n_grid + 1])
+    lags = step * np.arange(1, n_grid + 1)
+    padded = np.zeros(32 * n_grid)
+    padded[1:n_grid + 1] = coefs / lags
+    return lags, coefs, float(np.max(np.abs(np.fft.rfft(padded).imag)))
+
+
 def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     r"""(1/pi) \int_0^inf W(omega) N(omega) domega with lobe-aligned panels.
 
     spectrum maps an omega array to N values.  Blocks of 16, 32, ... up to
     8192 lobes of width pi/tau are each one integrate call with an edge on
-    every lobe boundary, until the analytic tail estimate is small; a
-    smooth continuation with the exact 1/omega^2 envelope covers the rest.
-    Returns (value, error, diag).
+    every lobe boundary, so a smooth lobe costs one 15-node panel; after
+    each block the tail test below decides whether to go on, and so sets
+    the lobe count.  A smooth continuation with the exact 1/omega^2
+    envelope covers the rest.  Returns (value, error, diag).
+
+    The continuation drops (2 kappa^2/pi) \int_Omega^inf h dG with
+    h = N/omega^2 and G from _jump_sines.  Integrating by parts against
+    G - G(Omega), its size is at most
+        (2 kappa^2/pi) h(Omega) (sup |G| + |G(Omega)|)
+    whenever h does not increase beyond Omega.  That one term stops the
+    lobe blocks (at half the rtol budget) and enters the error, next to
+    the lobe panels' Kronrod estimates, the continuation's own quadrature
+    error and the envelope beyond 1e9 Omega.
     """
     tau, kap = seq.tau, seq.kappa
     if kap == 0.0:
@@ -369,19 +409,15 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     h = math.pi / tau
     _, jumps = jump_weights(seq)
     sj2 = float(np.sum(jumps**2))
-    n_seg = max(1, seq.switches().size)
+    lags, coefs, g_sup = _jump_sines(seq)
 
     def f(w):
         return filter_function(w, seq) * spectrum(w) / math.pi
 
     # W N >= 0, so blocks each within rtol of their own value sum to within
-    # rtol of the total.  The smooth continuation below absorbs the
-    # 1/omega^2-envelope tail, so extension only has to run until the
-    # oscillatory residual of that continuation, ~(3(1+n_seg)/(tau Omega))
-    # * tail, is inside the budget.
+    # rtol of the total.
     total = err = 0.0
     n_panels = n_eval = 0
-    osc_per_omega = 3.0 * (1.0 + n_seg) / tau
     k = 0
     block = 16
     while True:
@@ -397,10 +433,11 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
         omega_end = k * h
         n_end = float(np.max(spectrum(np.array([omega_end]))))
         tail_est = kap**2 * sj2 * n_end / (math.pi * omega_end)
-        resid_est = osc_per_omega / omega_end * tail_est
+        g_end = abs(float(np.sum(coefs * np.sin(omega_end * lags) / lags)))
+        resid = 2.0 * kap**2 / math.pi * n_end / omega_end**2 * (g_sup + g_end)
         scale = abs(total)
         if scale > 0.0 and k >= 32 and \
-                tail_est <= 0.05 * scale and resid_est <= 0.5 * rtol * scale:
+                tail_est <= 0.05 * scale and resid <= 0.5 * rtol * scale:
             break
         if k >= _MAX_LOBES:
             raise QuadratureError(
@@ -420,9 +457,8 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
                                               max_panels=1024)
     n_eval += tail_info["n_eval"]
     beyond = tail_f(np.array([omega_far]))[0] * omega_far  # <= integral of decreasing env
-    osc = osc_per_omega / omega_end
     total += tail_val
-    err += tail_err + beyond + osc * abs(tail_val)
+    err += tail_err + beyond + resid
 
     diag = {"path": "omega", "n_lobes": int(k), "omega_max": omega_end,
             "n_panels": int(n_panels), "n_eval": int(n_eval)}

@@ -67,6 +67,56 @@ def test_cpmg_equals_custom_with_same_switches():
                                rtol=1e-9)
 
 
+def _closed_form_with_pow(omega, n, tau, kappa):
+    # the CPMG closed form as written before the kernel took sin^2 once:
+    # sin(x) ** 4 and cos(2x) evaluated literally
+    x = omega * tau / (4.0 * n)
+    par = np.cos(0.5 * omega * tau) if n % 2 else np.sin(0.5 * omega * tau)
+    return (16.0 * kappa**2 / omega**2) * np.sin(x) ** 4 * par**2 / np.cos(2.0 * x) ** 2
+
+
+def _cpmg_test_grids(n, tau):
+    # both sides of the singular points (2m+1) pi N/tau at relative offsets
+    # 1e-7..1e-2, and a dense grid out to 200 omega_p
+    omega_p = math.pi * n / tau
+    offsets = np.geomspace(1e-7, 1e-2, 11)
+    offsets = np.concatenate((-offsets, offsets))
+    m = np.arange(0, 200, 13)
+    near = ((2 * m[:, None] + 1) * omega_p * (1.0 + offsets)).ravel()
+    dense = np.linspace(0.0, 200.0 * omega_p, 3001)[1:]
+    return near, dense
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32, 128, 256, 512])
+def test_cpmg_matches_segment_sum_near_singular_points_and_far_out(n):
+    # |W| <= kappa^2 (sum |J_k|)^2/omega^2 is the filter's scale at omega;
+    # next to the switch radius the closed form is off by up to ~4e-10 of
+    # it, and the segment sum itself loses relative digits between the
+    # harmonics
+    tau, kappa = 1.7, 1.2
+    seq = PulseSequence.cpmg(n, tau, kappa)
+    ref = PulseSequence.custom(seq.switches(), tau, kappa)
+    scale_num = kappa**2 * np.sum(np.abs(jump_weights(seq)[1])) ** 2
+    for w in _cpmg_test_grids(n, tau):
+        got, want = cpmg_filter(w, seq), custom_filter(w, ref)
+        envelope = scale_num / w**2
+        assert np.max(np.abs(got - want) / envelope) <= 2e-9
+        big = want >= 1e-6 * envelope
+        assert np.max(np.abs(got[big] / want[big] - 1.0)) <= 2e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32, 128, 256, 512])
+def test_cpmg_kernel_matches_the_literal_closed_form(n):
+    # the kernel's sin^2 * sin^2 and 1 - 2 sin^2 change the closed form's
+    # values by rounding only; compared where both take the closed form
+    tau, kappa = 1.7, 1.2
+    seq = PulseSequence.cpmg(n, tau, kappa)
+    for w in _cpmg_test_grids(n, tau):
+        w = w[np.abs(np.cos(w * tau / (2.0 * n))) > 2e-4]
+        np.testing.assert_allclose(cpmg_filter(w, seq), _closed_form_with_pow(w, n, tau, kappa),
+                                   rtol=1e-11, atol=0.0)
+
+
 def test_cpmg_near_zero_frequency_is_finite_and_continuous():
     seq = PulseSequence.cpmg(4, 1.0)
     tiny = filter_function(np.array([0.0, 1e-200, 1e-30, 1e-8]), seq)

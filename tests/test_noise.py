@@ -227,6 +227,47 @@ def test_single_mode_lorentzian_reduces_to_ou_variance():
         assert val == pytest.approx(ref, rel=1e-8)
 
 
+def _lorentzian_error_cases():
+    # criterion 05's inputs, then Ramsey, Hahn and CPMG-8/64/256 with the
+    # rate at 0.05, 1 and 20 times pi n_seg/tau
+    wp = 32.0 * math.pi
+    for ratio in np.geomspace(0.01, 100.0, 21):
+        yield PulseSequence.cpmg(32, 1.0), 1e-9, ratio * wp
+    for name in ["ramsey", "hahn", "cpmg-8", "cpmg-64", "cpmg-256"]:
+        seq, switches = make_sequence(name, 1.0)
+        for tol in (1e-6, 1e-9):
+            for factor in (0.05, 1.0, 20.0):
+                yield seq, tol, factor * math.pi * (len(switches) + 1) / seq.tau
+
+
+def test_omega_path_error_bounds_the_lorentzian_miss():
+    # N = w0/(w0^2 + w^2) is one OU process of variance 1/2, so the exact
+    # <phi^2> is Q(w0)/2; the returned error must cover the miss, which
+    # must also be inside the requested tolerance
+    for seq, tol, w0 in _lorentzian_error_cases():
+        exact = 0.5 * ou_phase_kernel([w0], seq)[0, 0]
+        val, err, _ = phi_squared(seq.tau, seq, spectrum=lambda w: w0 / (w0 * w0 + w * w),
+                                  tol_omega=tol, full_output=True)
+        label = f"n_seg={seq.switches().size + 1} tol={tol:g} w0={w0:.6g}"
+        assert abs(val - exact) <= err, label
+        assert abs(val - exact) <= tol * exact, label
+
+
+def test_omega_path_error_bounds_the_miss_for_custom_sequences():
+    # irregular switch times share no grid, so the tail bound sums the
+    # jump pairs one by one
+    seqs = [PulseSequence.custom([0.1, 0.35, 0.8], 1.3),
+            PulseSequence.custom(np.sort(np.random.default_rng(1).uniform(0.0, 2.0, 12)), 2.0)]
+    for seq in seqs:
+        for tol in (1e-6, 1e-9):
+            for w0 in (0.5, 5.0, 60.0):
+                exact = 0.5 * ou_phase_kernel([w0], seq)[0, 0]
+                val, err, _ = phi_squared(seq.tau, seq, tol_omega=tol, full_output=True,
+                                          spectrum=lambda w: w0 / (w0 * w0 + w * w))
+                assert abs(val - exact) <= err
+                assert abs(val - exact) <= tol * exact
+
+
 def test_flat_spectrum_sequence_independence():
     level, tau = 0.7, 2.0
     vals = []
