@@ -27,11 +27,10 @@ from .materials import CRI3, MaterialParams, cri3_t2_estimate, field_prefactor_s
 from .models import (DiffusiveO3, ModelA, ModelB, O3Regime, SampleModel, TfimQC,
                      as_lorentzian_model, chi, fdt_convert, lorentzian_coupling,
                      lorentzian_parameters, o3_transport, structure_factor)
-from .noise import (DecoherenceCurve, NoCrossingError, NoiseSpectrum,
-                    QubitParams, coherence, cpmg_closed_form,
-                    decoherence_curve, filter_weight_integral,
+from .noise import (DecoherenceCurve, NoCrossingError, QubitParams, coherence,
+                    cpmg_closed_form, decoherence_curve, filter_weight_integral,
                     noise_spectral_density, ou_phase_kernel, phi_squared,
-                    sample_noise_spectrum, sequence_at, t2_extract)
+                    sequence_at, t2_extract)
 from .oracle import (FieldTrace, LatticeSpec, mode_sum_noise_density,
                      mode_sum_phi_squared, monte_carlo_phi_squared,
                      simulate_field_trace, stationary_b_variance)
@@ -48,8 +47,8 @@ __all__ = [
     "lorentzian_parameters", "lorentzian_coupling", "chi", "structure_factor",
     "fdt_convert", "o3_transport", "as_lorentzian_model",
     # noise
-    "QubitParams", "NoiseSpectrum", "DecoherenceCurve", "NoCrossingError",
-    "noise_spectral_density", "sample_noise_spectrum", "ou_phase_kernel",
+    "QubitParams", "DecoherenceCurve", "NoCrossingError",
+    "noise_spectral_density", "ou_phase_kernel",
     "phi_squared", "decoherence_curve", "coherence", "t2_extract",
     "cpmg_closed_form", "filter_weight_integral", "sequence_at",
     # materials

@@ -492,6 +492,8 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
           ("clamped", str(res.clamped).lower()),
           ("n_points", str(res.n_points)), ("seed", str(res.seed)),
           ("n_calls", str(res.n_calls))]
+    if res.start_exits:
+        kv.append(("start_exits", ";".join(res.start_exits)))
     if res.degenerate:
         kv.append(("degenerate", ";".join(res.degenerate)))
     if res.covariance is not None:

@@ -124,6 +124,9 @@ class CollapseResult:
     n_calls: int = 0
     # (value, params) at the end of each Nelder-Mead start, in start order
     start_optima: tuple = ()
+    # why each of those starts ended: "values-agreed", "simplex-collapsed"
+    # or "iteration-cap" (see _nelder_mead)
+    start_exits: tuple = ()
 
     def params(self) -> dict:
         vals = (self.nu, self.eta, self.z, self.critical_value, self.amplitude)
@@ -284,19 +287,32 @@ def _resolve_bounds(names, bounds, grid, loc_name):
     return out
 
 
-def _nelder_mead(fun, x0, *, maxiter, xatol, fatol):
-    """Adaptive Nelder-Mead that also stops once its simplex has collapsed to rounding.
+# Nelder-Mead uses only the order of its values, so it runs on the log of
+# the objective: a fatol of log1p(1e-2) there stops a run once every vertex
+# value is within 1% of the best one, whatever the objective's scale
+_LOG_FATOL = math.log1p(1e-2)
+# why a run ended, by scipy status; any other status is the iteration cap
+_EXITS = {0: "values-agreed", 99: "simplex-collapsed"}
 
-    The collapse metric jumps where neighbour sets change.  A simplex that
-    straddles a jump keeps its value spread above fatol however small it
-    gets, and would re-evaluate the same point until maxiter; here the run
-    ends when the last 2(n+1) evaluated points agree to 1e-12.
+
+def _nelder_mead(fun, x0, *, maxiter, xatol):
+    """Adaptive Nelder-Mead on a non-negative objective, stopped relative to its value.
+
+    The result's ``exit`` says how the run ended: "values-agreed" when every
+    vertex is within xatol of the best one and within 1% of its value (an
+    exact zero included, as log(0 + 1e-300) is finite); "simplex-collapsed"
+    when the last 2(n+1) evaluated points agree to 1e-12, since a simplex
+    that straddles one of the metric's jumps where neighbour sets change
+    keeps its values apart however small it gets; else "iteration-cap".
+    ``fun`` is the objective's own value at ``x``.
     """
     recent = deque(maxlen=2 * (len(x0) + 1))
+    values = {}
 
     def f(x):
         recent.append(np.array(x))
-        return fun(x)
+        v = values[x.tobytes()] = fun(x)
+        return math.log(v + 1e-300)
 
     def stop(intermediate_result):
         if len(recent) == recent.maxlen:
@@ -304,9 +320,12 @@ def _nelder_mead(fun, x0, *, maxiter, xatol, fatol):
             if np.all(np.ptp(pts, axis=0) <= 1e-12 * (1.0 + np.abs(pts[0]))):
                 raise StopIteration
 
-    return minimize(f, x0, method="Nelder-Mead", callback=stop,
-                    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol,
-                             "adaptive": True})
+    res = minimize(f, x0, method="Nelder-Mead", callback=stop,
+                   options={"maxiter": maxiter, "xatol": xatol,
+                            "fatol": _LOG_FATOL, "adaptive": True})
+    res.fun = values[res.x.tobytes()]
+    res.exit = _EXITS.get(res.status, "iteration-cap")
+    return res
 
 
 def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
@@ -345,10 +364,14 @@ def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
             if n_free else 0.0
         return quality(points(p)) * (1.0 + pen) + pen
 
-    start_optima = []
+    start_optima, start_exits = [], []
     if n_free == 0:
         best_u, best_f, success = np.empty(0), objective(np.empty(0)), True
     else:
+        # vertex tolerance: 0.1% of the narrowest free span, the resolution
+        # that clamped uses; restarts refine ten times finer, bootstrap
+        # refits stop ten times coarser
+        xs = 1e-3 * float(width[free].min())
         sob = qmc.Sobol(d=n_free, scramble=True, seed=seed)
         # screen a large low-discrepancy pool, descend only from the best
         pool = lo_u[free] + sob.random(max(16 * n_starts, 128)) * width[free]
@@ -356,19 +379,18 @@ def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
         starts = pool[np.argsort(scores, kind="stable")[:n_starts]]
         cand = []
         for x0 in starts:
-            res = _nelder_mead(objective, x0, maxiter=400 * n_free, xatol=1e-5,
-                               fatol=1e-12)
+            res = _nelder_mead(objective, x0, maxiter=400 * n_free, xatol=xs)
             xc = np.clip(res.x, lo_u[free], hi_u[free])
             cand.append((float(res.fun), tuple(xc), bool(res.success)))
             start_optima.append((float(res.fun), tuple(map(float, to_params(xc)[0]))))
+            start_exits.append(res.exit)
         cand.sort(key=lambda c: (c[0], c[1]))
         best_f, bx, success = cand[0]
         best_u = np.array(bx)
         # restarting with a fresh simplex recovers from premature collapse;
         # stalled improvement counts as converged even when maxiter was hit
         for _ in range(8):
-            res = _nelder_mead(objective, best_u, maxiter=400 * n_free, xatol=1e-6,
-                               fatol=1e-12)
+            res = _nelder_mead(objective, best_u, maxiter=400 * n_free, xatol=xs / 10)
             f_new = float(res.fun)
             x_new = np.clip(res.x, lo_u[free], hi_u[free])
             if f_new >= best_f - max(1e-3 * abs(best_f), 1e-14):
@@ -410,7 +432,7 @@ def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
             idx = rng.integers(0, grid.size, grid.size)
             sub = prepare(grid.take(idx))
             res = _nelder_mead(lambda x: objective(x, sub), best_u, maxiter=60 * n_free,
-                               xatol=1e-4, fatol=1e-10)
+                               xatol=10 * xs)
             samples[r] = np.clip(res.x, lo_u[free], hi_u[free])
         cov_free = np.atleast_2d(np.cov(samples, rowvar=False))
         cov = np.zeros((len(names), len(names)))
@@ -425,7 +447,7 @@ def _fit(grid, names, bounds, seed, prepare, *, k, n_starts, n_bootstrap, kind):
         residual=float(best_f), converged=bool(success), clamped=clamped,
         seed=seed, kind=kind, param_names=tuple(names), covariance=cov,
         degenerate=degenerate, n_points=grid.size, n_calls=n_calls,
-        start_optima=tuple(start_optima))
+        start_optima=tuple(start_optima), start_exits=tuple(start_exits))
 
 
 def _check_span(grid):

@@ -109,11 +109,6 @@ class PulseSequence:
             return self.tau * (n - 0.5) / self.n_pulses
         return np.asarray(self.switch_times, dtype=float)
 
-    @property
-    def pulse_spacing_frequency(self) -> float:
-        """omega_p = pi N/tau, N the number of sign flips (at least 1)."""
-        return math.pi * max(1, self.switches().size) / self.tau
-
 
 @dataclass(frozen=True)
 class GeometryConfig:

@@ -36,11 +36,9 @@ from .quadrature import QuadratureError, integrate, log_edges
 
 __all__ = [
     "QubitParams",
-    "NoiseSpectrum",
     "DecoherenceCurve",
     "NoCrossingError",
     "noise_spectral_density",
-    "sample_noise_spectrum",
     "ou_phase_kernel",
     "phi_squared",
     "decoherence_curve",
@@ -61,17 +59,6 @@ class QubitParams:
     def __post_init__(self):
         if not self.t1 > 0.0:
             raise ValueError("T1 must be positive (inf allowed)")
-
-
-@dataclass
-class NoiseSpectrum:
-    """Tabulated N(omega) samples with quadrature tolerance and provenance."""
-
-    omegas: np.ndarray
-    densities: np.ndarray
-    errors: np.ndarray
-    tol_q: float
-    provenance: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -234,15 +221,6 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
     out = out.reshape(w_in.shape)
     err = err.reshape(w_in.shape)
     return (out, err) if full_output else out
-
-
-def sample_noise_spectrum(model, geom: GeometryConfig, omegas, *,
-                          tol_q: float = 1e-8) -> NoiseSpectrum:
-    """Tabulate N(omega) with per-point error estimates."""
-    w = np.asarray(omegas, dtype=float)
-    vals, errs = noise_spectral_density(w, model, geom, tol_q=tol_q, full_output=True)
-    return NoiseSpectrum(omegas=w, densities=vals, errors=errs, tol_q=tol_q,
-                         provenance={"model": repr(model), "geometry": repr(geom)})
 
 
 def _runs(seq: PulseSequence) -> list:

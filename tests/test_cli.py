@@ -402,6 +402,9 @@ class TestCollapse:
         assert float(report_value(out, "T_c")) == pytest.approx(1.0, abs=0.02)
         assert report_value(out, "converged") == "true"
         assert int(report_value(out, "n_calls")) > 0
+        exits = report_value(out, "start_exits").split(";")
+        assert len(exits) == 8
+        assert set(exits) <= {"values-agreed", "simplex-collapsed", "iteration-cap"}
         # the amplitude is fixed, not fitted, and the report says so
         assert report_value(out, "xi0") == "1"
         assert report_value(out, "degenerate") == "xi0"

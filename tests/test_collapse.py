@@ -235,13 +235,43 @@ class TestSweepGrid:
 
 def test_nelder_mead_stops_on_collapsed_simplex():
     # an isolated minimum: shrinking toward it leaves the other vertices one
-    # ulp away (0.75 ulp rounds up) at a value that never drops, so the value
-    # spread stays above fatol and plain Nelder-Mead would run to maxiter
+    # ulp away (0.75 ulp rounds up) at a value that never drops, so the values
+    # never agree and plain Nelder-Mead would run to maxiter
     xs = np.array([0.3, 0.7, 1.1, 1.9])
     res = _nelder_mead(lambda x: 0.0 if np.array_equal(x, xs) else 1.0, xs.copy(),
-                       maxiter=1600, xatol=1e-5, fatol=1e-12)
+                       maxiter=1600, xatol=1e-5)
     assert res.nit < 200
     np.testing.assert_array_equal(res.x, xs)
+
+
+def test_nelder_mead_stop_is_relative_to_the_objective():
+    # the stop reads value ratios, so rescaling the objective changes no step
+    a = np.array([0.25, -0.5, 0.75])
+    w = np.array([1.0, 3.0, 0.5])
+
+    def bowl(x):
+        return 2e-3 + float(np.sum(w * (x - a) ** 2))
+
+    runs = [_nelder_mead(lambda x, c=c: c * bowl(x), np.zeros(3), maxiter=1200,
+                         xatol=1e-4) for c in (1e-6, 1.0, 1e6)]
+    for res in runs:
+        assert res.exit == "values-agreed" and res.nit < 1200
+        np.testing.assert_array_equal(res.x, runs[1].x)
+        assert res.nfev == runs[1].nfev
+    assert runs[0].fun == pytest.approx(1e-6 * runs[1].fun, rel=1e-12)
+
+
+@pytest.mark.parametrize("fun, exit", [
+    # exact zeros over a ball: the values agree once the simplex is inside it
+    (lambda x: max(0.0, float(np.sum((x - 0.25) ** 2)) - 0.01), "values-agreed"),
+    # an exact zero at one point: the simplex shrinks onto it
+    (lambda x: float(np.sum((x - 0.25) ** 2)), "simplex-collapsed"),
+])
+def test_nelder_mead_stops_at_an_exact_zero(fun, exit):
+    res = _nelder_mead(fun, np.zeros(3), maxiter=1200, xatol=1e-4)
+    assert res.exit == exit and res.nit < 600
+    assert res.fun == fun(res.x) < 1e-20
+    np.testing.assert_allclose(res.x, 0.25, atol=0.1)
 
 
 NU_C, Z_C, ETA_C, TC_C = 0.6, 1.7, 0.1, 1.3
@@ -378,6 +408,9 @@ class TestClassicalCollapse:
         assert res.n_calls == len(calls) > 0
         assert len(res.start_optima) == 3
         assert res.residual <= min(v for v, _ in res.start_optima)
+        assert len(res.start_exits) == 3
+        assert set(res.start_exits) <= {"values-agreed", "simplex-collapsed",
+                                        "iteration-cap"}
         for _, p in res.start_optima:
             assert len(p) == 5 and (p[1], p[2]) == (ETA_C, Z_C)
 

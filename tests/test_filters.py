@@ -204,8 +204,3 @@ def test_comb_tail_bound_decreases():
     bounds = [comb_tail_bound(seq, n) for n in [2, 8, 32, 128]]
     assert all(b > 0 for b in bounds)
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
-
-
-def test_pulse_spacing_frequency():
-    seq = PulseSequence.cpmg(16, 4.0)
-    assert seq.pulse_spacing_frequency == pytest.approx(math.pi * 16 / 4.0)

@@ -16,7 +16,6 @@ from critspec.noise import (
     noise_spectral_density,
     ou_phase_kernel,
     phi_squared,
-    sample_noise_spectrum,
     sequence_at,
     t2_extract,
 )
@@ -389,12 +388,3 @@ def test_deterministic_reruns_bit_identical():
     a = phi_squared(2.0, seq, m, geom, tol_omega=1e-6)
     b = phi_squared(2.0, seq, m, geom, tol_omega=1e-6)
     assert a == b
-
-
-def test_sample_noise_spectrum_record():
-    m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
-    spec = sample_noise_spectrum(m, GeometryConfig(d=1.0),
-                                 np.geomspace(0.1, 10.0, 7))
-    assert np.all(spec.densities >= 0.0)
-    assert spec.omegas.shape == spec.densities.shape == spec.errors.shape
-    assert spec.provenance
