@@ -22,7 +22,7 @@ from .collapse import (CollapseResult, SweepGrid, classical_collapse,
 from .filters import (GeometryConfig, PulseSequence, cpmg_delta_comb,
                       comb_tail_bound, cpmg_filter, custom_filter,
                       filter_function, jump_weights, momentum_filter,
-                      ramsey_filter, toggling_sign)
+                      ramsey_filter)
 from .materials import CRI3, MaterialParams, cri3_t2_estimate, field_prefactor_si
 from .models import (DiffusiveO3, ModelA, ModelB, O3Regime, SampleModel, TfimQC,
                      as_lorentzian_model, chi, fdt_convert, lorentzian_coupling,
@@ -41,7 +41,7 @@ __all__ = [
     # filters
     "PulseSequence", "GeometryConfig", "ramsey_filter", "cpmg_filter",
     "custom_filter", "filter_function", "cpmg_delta_comb", "comb_tail_bound",
-    "jump_weights", "toggling_sign", "momentum_filter",
+    "jump_weights", "momentum_filter",
     # models
     "ModelA", "ModelB", "DiffusiveO3", "TfimQC", "O3Regime", "SampleModel",
     "lorentzian_parameters", "lorentzian_coupling", "chi", "structure_factor",

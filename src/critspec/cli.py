@@ -1,7 +1,8 @@
 """Command-line front end: JSON config in, provenance-stamped CSV/report out.
 
 Subcommands: spectrum, decohere, sweep, collapse, oracle, estimate-t2.
-Configs are schema-validated JSON; outputs carry '#'-prefixed provenance
+Configs are JSON, validated against one schema before any command runs;
+outputs carry '#'-prefixed provenance
 headers and are byte-identical across reruns except for the timestamp
 line.  Exit codes: 0 success, 2 config error, 3 numeric non-convergence,
 4 I/O error.
@@ -16,12 +17,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__
 from .collapse import (SweepGrid, classical_collapse, classical_points, quantum_collapse,
@@ -104,7 +101,6 @@ _CONFIG_SCHEMA = {
         "qubit": {
             "type": "object",
             "properties": {
-                "kappa": {"type": "number", "minimum": 0},
                 "t1": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -121,7 +117,6 @@ _CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "tol_q": {"type": "number", "exclusiveMinimum": 0},
-                "tol_omega": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -172,12 +167,9 @@ _CONFIG_SCHEMA = {
 
 
 # checked against the meta-schema once, here, rather than on every config
-if jsonschema is not None:
-    _validator_cls = jsonschema.validators.validator_for(_CONFIG_SCHEMA)
-    _validator_cls.check_schema(_CONFIG_SCHEMA)
-    _VALIDATOR = _validator_cls(_CONFIG_SCHEMA)
-else:  # pragma: no cover
-    _VALIDATOR = None
+_validator_cls = jsonschema.validators.validator_for(_CONFIG_SCHEMA)
+_validator_cls.check_schema(_CONFIG_SCHEMA)
+_VALIDATOR = _validator_cls(_CONFIG_SCHEMA)
 
 
 def load_config(path: str) -> dict:
@@ -186,12 +178,11 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if _VALIDATOR is not None:
-        # best_match picks the error jsonschema.validate would raise
-        e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-        if e is not None:
-            loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {loc}: {e.message}") from e
+    # best_match picks the error jsonschema.validate would raise
+    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if e is not None:
+        loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: {e.message}") from e
     return cfg
 
 
@@ -268,24 +259,7 @@ def _build_sequence(block: dict) -> PulseSequence:
         raise ConfigError(f"bad sequence block: {e}") from e
 
 
-def _sequence_block(cfg: dict) -> dict:
-    """The sequence block with the qubit's kappa applied.
-
-    kappa may be set in the qubit block, in the sequence block, or in both
-    with the same value; two different values are a config error.
-    """
-    block = dict(cfg.get("sequence") or {})
-    qubit = cfg.get("qubit") or {}
-    if "kappa" in qubit:
-        if "kappa" in block and float(block["kappa"]) != float(qubit["kappa"]):
-            raise ConfigError(f"qubit.kappa = {qubit['kappa']} and sequence.kappa = "
-                              f"{block['kappa']} disagree; set one of them")
-        block["kappa"] = qubit["kappa"]
-    return block
-
-
 def _build_qubit(block: dict) -> QubitParams:
-    # qubit.kappa is not read here: _sequence_block moves it into the sequence
     t1 = (block or {}).get("t1")
     try:
         return QubitParams(t1=math.inf if t1 is None else float(t1))
@@ -331,9 +305,8 @@ class IOFailure(OSError):
     pass
 
 
-def _tolerances(cfg):
-    tol = cfg.get("tolerances", {})
-    return float(tol.get("tol_q", 1e-8)), float(tol.get("tol_omega", 1e-6))
+def _tol_q(cfg) -> float:
+    return float(cfg.get("tolerances", {}).get("tol_q", 1e-8))
 
 
 def cmd_spectrum(cfg: dict, out: str, seed=None) -> int:
@@ -342,7 +315,7 @@ def cmd_spectrum(cfg: dict, out: str, seed=None) -> int:
     omegas = _axis(cfg["omega"])
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
-    tol_q, _ = _tolerances(cfg)
+    tol_q = _tol_q(cfg)
     vals, errs = noise_spectral_density(omegas, model, geom, tol_q=tol_q,
                                         full_output=True)
     rows = [(float(w), float(v), float(e)) for w, v, e in zip(omegas, vals, errs)]
@@ -357,10 +330,11 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     taus = _axis(cfg["taus"])
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
-    seq = _build_sequence(_sequence_block(cfg))
+    seq = _build_sequence(cfg.get("sequence"))
     qubit = _build_qubit(cfg.get("qubit"))
-    tol_q, tol_w = _tolerances(cfg)
-    curve = decoherence_curve(taus, seq, model, geom, tol_omega=tol_w, tol_q=tol_q)
+    tol_q = _tol_q(cfg)
+    # the model path runs at min(tol_omega, tol_q): equal values make it tol_q
+    curve = decoherence_curve(taus, seq, model, geom, tol_omega=tol_q, tol_q=tol_q)
     coh_inf = np.exp(-2.0 * curve.phi_sq)
     columns = ["tau", "phi_sq", "coherence", "err"]
     cols = [curve.taus, curve.phi_sq, coh_inf, curve.errors]
@@ -399,9 +373,9 @@ def cmd_sweep(cfg: dict, out: str, seed=None) -> int:
     if l_axis is not None and cfg["model"]["kind"] != "o3":
         raise ConfigError("a lambda axis requires the 'o3' model "
                           "(lambda maps to the gap parameter delta)")
-    tol_q, tol_w = _tolerances(cfg)
+    tol_q = _tol_q(cfg)
     geom_block = cfg.get("geometry", {"d": 1.0})
-    seq = _build_sequence(_sequence_block(cfg))
+    seq = _build_sequence(cfg.get("sequence"))
     lam_values = [None] if l_axis is None else list(l_axis)
     columns = ["d", "tau", "T"] + (["lambda"] if l_axis is not None else []) \
         + ["phi_sq", "err"]
@@ -412,7 +386,7 @@ def cmd_sweep(cfg: dict, out: str, seed=None) -> int:
                 model = _build_model(cfg["model"], T=T, lam=lam)
                 geom = _build_geometry(geom_block, d=d)
                 curve = decoherence_curve(t_axis, seq, model, geom,
-                                          tol_omega=tol_w, tol_q=tol_q)
+                                          tol_omega=tol_q, tol_q=tol_q)
                 lam_col = () if lam is None else (lam,)
                 for t, p, e in zip(curve.taus, curve.phi_sq, curve.errors):
                     rows.append((d, float(t), T) + lam_col + (float(p), float(e)))
@@ -511,7 +485,7 @@ def cmd_oracle(cfg: dict, out: str, seed=0) -> int:
     block = dict(cfg.get("oracle", {}))
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
-    seq = _build_sequence(_sequence_block(cfg))
+    seq = _build_sequence(cfg.get("sequence"))
     lattice = LatticeSpec(L=int(block.get("L", 64)), a=float(block.get("a", 1.0)))
     n_traces = int(block.get("n_traces", 400))
     n_pulses = max(1, seq.switches().size)
@@ -574,18 +548,6 @@ _DEFAULT_OUT = {
 }
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CRITSPEC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"CRITSPEC_THREADS must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="critspec",
@@ -594,8 +556,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="no effect: validated, then ignored "
-                             "(every command runs in one process)")
+                        help="no effect: every command runs in one process")
     parser.add_argument("--out", default=None, help="output file path")
     args = parser.parse_args(argv)
 
@@ -603,7 +564,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         out = args.out or _DEFAULT_OUT[args.command]
-        _thread_count(args)  # validated only: every command runs in one process
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out, seed)
         if args.command == "decohere":

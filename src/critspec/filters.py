@@ -28,7 +28,6 @@ __all__ = [
     "cpmg_delta_comb",
     "comb_tail_bound",
     "momentum_filter",
-    "toggling_sign",
     "jump_weights",
 ]
 
@@ -265,22 +264,6 @@ def jump_weights(seq: PulseSequence):
     times = np.concatenate(([0.0], sw, [seq.tau]))
     jumps = np.concatenate(([1.0], -2.0 * (-1.0) ** np.arange(sw.size), [(-1.0) ** (sw.size + 1)]))
     return times, jumps
-
-
-def toggling_sign(seq: PulseSequence, t):
-    """Sign function f(t) in [0, tau]: +1 before the first flip, alternating.
-
-    Exactly at a flip instant the value is 0 (mean of the one-sided limits);
-    outside [0, tau] the function is 0.
-    """
-    tt = np.asarray(t, dtype=float)
-    edges = seq.switches()
-    idx = np.searchsorted(edges, tt, side="left")
-    out = np.where(idx % 2 == 0, 1.0, -1.0)
-    on_edge = np.isin(tt, edges)
-    out = np.where(on_edge, 0.0, out)
-    out = np.where((tt < 0.0) | (tt > seq.tau), 0.0, out)
-    return _scalar_like(out, t)
 
 
 def momentum_filter(q, geom: GeometryConfig):

@@ -563,7 +563,8 @@ def filter_weight_integral(seq: PulseSequence, *, rtol: float = 1e-9):
     the jump expansion W = (kappa^2/omega^2)|sum_k J_k e^{-i omega u_k}|^2,
     \int_Omega^inf W domega = kappa^2 [sum J_k^2/Omega
         + sum_{k<l} 2 J_k J_l (cos(Omega D)/Omega - D (pi/2 - Si(Omega D)))]
-    with D = u_l - u_k.  Returns (value, error_estimate).
+    with D = u_l - u_k, summed over the merged lags of _jump_sines.  Returns
+    (value, error_estimate).
     """
     tau, kap = seq.tau, seq.kappa
     h = math.pi / tau
@@ -577,13 +578,11 @@ def filter_weight_integral(seq: PulseSequence, *, rtol: float = 1e-9):
     val, err, _ = integrate(f, 0.0, omega_end, rtol=rtol,
                             edges=h * np.arange(1, k_end), max_panels=64 * n_seg + 4096)
 
-    times, jumps = jump_weights(seq)
+    _, jumps = jump_weights(seq)
     tail = float(np.sum(jumps**2)) / omega_end
-    ii, jj = np.triu_indices(times.size, k=1)
-    delta = times[jj] - times[ii]
-    si, _ = sici(omega_end * delta)
-    pair = 2.0 * jumps[ii] * jumps[jj] * (
-        np.cos(omega_end * delta) / omega_end - delta * (0.5 * math.pi - si))
+    lags, coefs, _ = _jump_sines(seq)
+    si, _ = sici(omega_end * lags)
+    pair = 2.0 * coefs * (np.cos(omega_end * lags) / omega_end - lags * (0.5 * math.pi - si))
     tail += float(pair.sum())
     val += kap**2 * tail / math.pi
     return val, err

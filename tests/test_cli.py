@@ -6,7 +6,6 @@ so exit codes, stderr diagnostics, and output files are all observable.
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ from critspec.cli import ConfigError, _fmt, main, read_sweep_csv
 from critspec.asymptotics import omega0_for
 from critspec.filters import GeometryConfig, PulseSequence
 from critspec.models import ModelA
-from critspec.noise import cpmg_closed_form, noise_spectral_density, phi_squared
+from critspec.noise import (cpmg_closed_form, decoherence_curve, noise_spectral_density,
+                            phi_squared)
 from critspec.quadrature import QuadratureError
 
 
@@ -97,18 +97,34 @@ class TestConfigValidation:
                                    "omega": {"values": [1.0]}})
         assert main(["spectrum", "--config", cfg]) == 2
 
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CRITSPEC_THREADS", "many")
-        cfg = write_cfg(tmp_path, SWEEP_CFG)
-        out = str(tmp_path / "s.csv")
-        assert main(["sweep", "--config", cfg, "--out", out]) == 2
-        assert "CRITSPEC_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize("block, key", [("tolerances", "tol_omega"),
+                                            ("qubit", "kappa")])
+    def test_removed_key_exits_2(self, tmp_path, capsys, block, key):
+        # tol_omega: every command runs only q-integrals, at tol_q;
+        # kappa: the coupling lives in the sequence block alone
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "taus": {"values": [1.0]}, block: {key: 1e-6}})
+        assert main(["decohere", "--config", cfg,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"config invalid at {block}" in err and f"'{key}'" in err
 
-    def test_thread_env_fallback_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRITSPEC_THREADS", "1")
-        cfg = write_cfg(tmp_path, SWEEP_CFG)
-        out = str(tmp_path / "s.csv")
-        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    @pytest.mark.parametrize("command, extra", [
+        ("decohere", {"taus": {"values": [0.3, 1.0]}}),
+        ("sweep", {"sweep": SWEEP_CFG["sweep"]})])
+    def test_commands_run_at_tol_q(self, tmp_path, monkeypatch, command, extra):
+        seen = []
+
+        def spy(*args, **kwargs):
+            # the model path's rtol is min(tol_omega, tol_q)
+            seen.append(min(kwargs["tol_omega"], kwargs["tol_q"]))
+            return decoherence_curve(*args, **kwargs)
+
+        monkeypatch.setattr("critspec.cli.decoherence_curve", spy)
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "tolerances": {"tol_q": 1e-3}, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert seen and set(seen) == {1e-3}
 
     def test_unphysical_regime_exits_2(self, tmp_path, capsys):
         # the gapped-paramagnet transport coefficients only exist for
@@ -220,28 +236,18 @@ class TestDecohere:
         assert main(["decohere", "--config", cfg2, "--out", out2]) == 0
         assert "coherence_t1" not in load_rows(out2)[0]
 
-    def test_qubit_kappa_sets_the_coupling(self, tmp_path):
-        # phi scales with kappa, so kappa = 2 in the qubit block alone
-        # must quadruple <phi^2>
+    def test_sequence_kappa_sets_the_coupling(self, tmp_path):
+        # phi scales with kappa, so kappa = 2 must quadruple <phi^2>
         base = {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
                 "taus": {"values": [0.3, 1.0]}}
         outs = []
-        for name, extra in (("unit", {}), ("qubit", {"qubit": {"kappa": 2.0}})):
+        for name, extra in (("unit", {}), ("kappa2", {"sequence": {"kappa": 2.0}})):
             cfg = write_cfg(tmp_path, {**base, **extra}, f"{name}.json")
             outs.append(str(tmp_path / f"{name}.csv"))
             assert main(["decohere", "--config", cfg, "--out", outs[-1]]) == 0
         (cols, unit), (_, scaled) = load_rows(outs[0]), load_rows(outs[1])
         i = cols.index("phi_sq")
         np.testing.assert_allclose(scaled[:, i], 4.0 * unit[:, i], rtol=1e-12)
-
-    def test_conflicting_kappa_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
-                                   "taus": {"values": [1.0]},
-                                   "sequence": {"kind": "ramsey", "kappa": 1.0},
-                                   "qubit": {"kappa": 2.0}})
-        assert main(["decohere", "--config", cfg,
-                     "--out", str(tmp_path / "k.csv")]) == 2
-        assert "kappa" in capsys.readouterr().err
 
     def test_long_curve_matches_single_tau_values(self, tmp_path):
         # a 1000-point curve runs in bounded blocks of taus; every row must

@@ -15,7 +15,6 @@ from critspec.filters import (
     jump_weights,
     momentum_filter,
     ramsey_filter,
-    toggling_sign,
 )
 
 
@@ -143,15 +142,6 @@ def test_jump_weights_sum_to_zero():
         assert abs(sum(jumps)) < 1e-14
         assert times[0] == 0.0 and times[-1] == pytest.approx(seq.tau)
         assert np.all(np.diff(times) > 0)
-
-
-def test_toggling_sign_alternates():
-    seq = PulseSequence.cpmg(2, 4.0)
-    t = np.array([0.5, 1.5, 2.5, 3.5])
-    np.testing.assert_allclose(toggling_sign(seq, t), [1.0, -1.0, -1.0, 1.0])
-    # zero exactly at a switch instant and outside the window
-    np.testing.assert_allclose(toggling_sign(seq, np.array([1.0, -0.3, 4.4])),
-                               [0.0, 0.0, 0.0])
 
 
 def test_sequence_validation():

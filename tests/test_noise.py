@@ -359,9 +359,14 @@ def test_cpmg_closed_form_series_matches_direct_form():
 
 
 def test_filter_weight_integral_conserved():
-    for seq in [PulseSequence.ramsey(2.0), PulseSequence.cpmg(2, 2.0)]:
+    # the closed-form tail is 0.3-0.8% of the total and its jump-pair sum
+    # 2e-7 to 1e-4 of it, both far above the band; the pairs are merged by
+    # lag for Ramsey/CPMG and kept one by one for a custom sequence
+    for seq in [PulseSequence.ramsey(2.0), PulseSequence.cpmg(2, 2.0),
+                PulseSequence.cpmg(256, 2.0, kappa=1.2),
+                PulseSequence.custom([0.1, 0.35, 0.4, 0.9], 2.0, kappa=0.9)]:
         val, err = filter_weight_integral(seq)
-        assert val == pytest.approx(seq.kappa**2 * 2.0, rel=1e-8)
+        assert val == pytest.approx(seq.kappa**2 * seq.tau, rel=1e-8)
 
 
 def test_sequence_at_rescales_switch_times():

@@ -115,19 +115,27 @@ class TestFieldTrace:
 
 
 class TestMonteCarlo:
+    # B = 1 on a binary grid (tau = 2, dt = 1/64), so every trapezoid sum
+    # below is exact and the sign function is read off sample by sample
+    UNIT_TRACE = FieldTrace(dt=1.0 / 64.0, samples=np.ones(129), seed=0)
+
     def test_constant_field_ramsey_is_exact(self):
-        B0, tau = 0.37, 2.0
-        tr = FieldTrace(dt=0.02, samples=np.full(101, B0), seed=0)
-        seq = PulseSequence.ramsey(tau)
-        mean, err = monte_carlo_phi_squared([tr, tr], seq)
-        assert mean == pytest.approx((seq.kappa * B0 * tau) ** 2, rel=1e-12)
+        seq = PulseSequence.ramsey(2.0, kappa=0.5)
+        mean, err = monte_carlo_phi_squared([self.UNIT_TRACE] * 2, seq)
+        assert mean == (seq.kappa * seq.tau) ** 2
         assert err == 0.0
 
     def test_constant_field_hahn_cancels(self):
-        B0, tau = 0.37, 2.0
-        tr = FieldTrace(dt=0.02, samples=np.full(101, B0), seed=0)
-        mean, _ = monte_carlo_phi_squared([tr, tr], PulseSequence.hahn(tau))
-        assert mean == pytest.approx(0.0, abs=1e-30)
+        # the flip sample weighs 0: signed +-1 it would leave phi = -+kappa dt
+        mean, _ = monte_carlo_phi_squared([self.UNIT_TRACE] * 2,
+                                          PulseSequence.hahn(2.0, kappa=0.5))
+        assert mean == 0.0
+
+    def test_constant_field_cpmg_signs_alternate(self):
+        # +tau/4 - tau/2 + tau/4: a sign that failed to flip back leaves tau/2
+        mean, _ = monte_carlo_phi_squared([self.UNIT_TRACE] * 2,
+                                          PulseSequence.cpmg(2, 2.0, kappa=0.5))
+        assert mean == 0.0
 
     def test_no_traces_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

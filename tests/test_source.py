@@ -1,5 +1,5 @@
-"""Source hygiene: every module compiles without warnings and keeps to the
-public names of the others."""
+"""Source hygiene: every module compiles without warnings, keeps to the
+public names of the others, and reads no environment variable."""
 
 import ast
 import pathlib
@@ -59,3 +59,34 @@ def test_private_import_check_catches_both_spellings():
            "from . import __version__\n"
            "pts = collapse._builder\n")
     assert private_imports(src) == ["quadrature._helper", "collapse._builder"]
+
+
+def environment_reads(source):
+    """Places a module reads the process environment: os.environ, os.getenv.
+
+    Catches the attribute spelling (`os.environ`, `os.getenv(...)`) and the
+    imported one (`from os import environ, getenv`).
+    """
+    names = {"environ", "getenv"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in names):
+            found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in names]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    # every setting comes from the command line or the config file
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_check_catches_both_spellings():
+    src = ("import os\n"
+           "from os import getenv\n"
+           "n = os.environ.get('N')\n"
+           "m = os.getenv('M')\n")
+    assert sorted(environment_reads(src)) == ["os.environ", "os.getenv", "os.getenv"]
