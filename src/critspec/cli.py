@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import jsonschema
@@ -40,6 +41,21 @@ class ConfigError(ValueError):
     """Invalid configuration or malformed input data."""
 
 
+# the keys a model kind accepts are its class's fields
+_MODEL_KINDS = {"model_a": ModelA, "model_b": ModelB, "diffusive_o3": DiffusiveO3,
+                "tfim": TfimQC, "o3": O3Regime}
+_MODEL_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in _MODEL_KINDS.items()}
+# the CLI's values for fields the library requires; a missing or null xi is critical
+_MODEL_DEFAULTS = {"J": 1.0, "gamma0": 1.0, "sigma_s": 1.0, "T": 1.0, "c": 1.0,
+                   "xi": math.inf}
+# every sequence kind takes tau and kappa; these are the keys it adds, with
+# their defaults, in its constructor's order
+_SEQUENCE_KINDS = {"ramsey": (PulseSequence.ramsey, {}),
+                   "hahn": (PulseSequence.hahn, {}),
+                   "cpmg": (PulseSequence.cpmg, {"n_pulses": 1}),
+                   "custom": (PulseSequence.custom, {"switch_times": []})}
+
+
 _AXIS_SCHEMA = {
     "type": "object",
     "oneOf": [
@@ -61,7 +77,7 @@ _MODEL_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["model_a", "model_b", "diffusive_o3", "tfim", "o3"]},
+        "kind": {"enum": list(_MODEL_KINDS)},
         "J": {"type": "number"}, "gamma0": {"type": "number"},
         "sigma_s": {"type": "number"}, "xi": {"type": ["number", "null"]},
         "T": {"type": "number"}, "chi_u": {"type": "number"},
@@ -81,7 +97,6 @@ _CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "d": {"type": "number", "exclusiveMinimum": 0},
-                "a": {"type": "number", "exclusiveMinimum": 0},
                 "layer_offsets": {"type": "array", "items": {"type": "number"}},
                 "field_prefactor": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -90,7 +105,7 @@ _CONFIG_SCHEMA = {
         "sequence": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["ramsey", "cpmg", "hahn", "custom"]},
+                "kind": {"enum": list(_SEQUENCE_KINDS)},
                 "tau": {"type": "number", "exclusiveMinimum": 0},
                 "kappa": {"type": "number", "minimum": 0},
                 "n_pulses": {"type": "integer", "minimum": 1},
@@ -202,29 +217,28 @@ def _axis(spec) -> np.ndarray:
     return vals
 
 
+def _reject_unread(name, kind, block, keys):
+    unread = sorted(set(block) - keys - {"kind"})
+    if unread:
+        raise ConfigError(f"{name} kind {kind!r} does not read {unread[0]!r}")
+
+
 def _build_model(block, *, T=None, lam=None):
     if not block:
         raise ConfigError("this command needs a 'model' block")
     kind = block["kind"]
-    xi = block.get("xi")
-    xi = math.inf if xi is None else float(xi)
-    temp = float(T if T is not None else block.get("T", 1.0))
+    keys = _MODEL_KEYS[kind]
+    _reject_unread("model", kind, block, keys)
+    params = {k: v for k, v in _MODEL_DEFAULTS.items() if k in keys}
+    params.update((k, v if isinstance(v, str) else float(v)) for k, v in block.items()
+                  if k != "kind" and v is not None)
+    if T is not None:
+        params["T"] = float(T)
+    if lam is not None:
+        params["delta"] = float(lam)
     try:
-        if kind == "model_a":
-            return ModelA(J=block.get("J", 1.0), gamma0=block.get("gamma0", 1.0),
-                          xi=xi, T=temp)
-        if kind == "model_b":
-            return ModelB(J=block.get("J", 1.0), sigma_s=block.get("sigma_s", 1.0),
-                          xi=xi, T=temp)
-        if kind == "diffusive_o3":
-            return DiffusiveO3(chi_u=block["chi_u"], D_s=block["D_s"], T=temp)
-        if kind == "tfim":
-            return TfimQC(c=block.get("c", 1.0), T=temp,
-                          z=block.get("z", 1.0), eta=block.get("eta", 0.0))
-        delta = float(lam if lam is not None else block.get("delta", 0.0))
-        return O3Regime(c=block.get("c", 1.0), T=temp, delta=delta,
-                        side=block.get("side", "critical"))
-    except (ValueError, KeyError) as e:
+        return _MODEL_KINDS[kind](**params)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad model block: {e}") from e
 
 
@@ -235,7 +249,7 @@ def _build_geometry(block: dict, *, d=None) -> GeometryConfig:
     if "d" not in block:
         raise ConfigError("geometry block needs a probe distance d")
     try:
-        return GeometryConfig(d=float(block["d"]), a=float(block.get("a", 1.0)),
+        return GeometryConfig(d=float(block["d"]),
                               layer_offsets=tuple(block.get("layer_offsets", (0.0,))),
                               field_prefactor=float(block.get("field_prefactor", 1.0)))
     except ValueError as e:
@@ -243,18 +257,13 @@ def _build_geometry(block: dict, *, d=None) -> GeometryConfig:
 
 
 def _build_sequence(block: dict) -> PulseSequence:
-    block = dict(block or {})
+    block = block or {}
     kind = block.get("kind", "ramsey")
-    t = float(block.get("tau", 1.0))
-    kappa = float(block.get("kappa", 1.0))
+    build, own = _SEQUENCE_KINDS[kind]
+    _reject_unread("sequence", kind, block, {"tau", "kappa", *own})
     try:
-        if kind == "ramsey":
-            return PulseSequence.ramsey(t, kappa)
-        if kind == "hahn":
-            return PulseSequence.hahn(t, kappa)
-        if kind == "cpmg":
-            return PulseSequence.cpmg(int(block.get("n_pulses", 1)), t, kappa)
-        return PulseSequence.custom(block.get("switch_times", []), t, kappa)
+        return build(*(block.get(k, v) for k, v in own.items()),
+                     float(block.get("tau", 1.0)), float(block.get("kappa", 1.0)))
     except ValueError as e:
         raise ConfigError(f"bad sequence block: {e}") from e
 
@@ -427,7 +436,6 @@ def read_sweep_csv(path):
     try:
         grid = SweepGrid(d=np.array(data["d"]), tau=np.array(data["tau"]),
                          T=np.array(data["T"]), phi_sq=np.array(data["phi_sq"]),
-                         errors=np.array(data["err"]) if "err" in data else None,
                          lam=np.array(data["lambda"]) if "lambda" in data else None)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
@@ -538,13 +546,14 @@ def cmd_estimate_t2(cfg: dict, out: str, seed=None) -> int:
     return 0
 
 
-_DEFAULT_OUT = {
-    "spectrum": "spectrum.csv",
-    "decohere": "decohere.csv",
-    "sweep": "sweep.csv",
-    "collapse": "collapse_report.txt",
-    "oracle": "oracle_report.txt",
-    "estimate-t2": "estimate_t2.txt",
+# each command's function and default output path
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "spectrum.csv"),
+    "decohere": (cmd_decohere, "decohere.csv"),
+    "sweep": (cmd_sweep, "sweep.csv"),
+    "collapse": (cmd_collapse, "collapse_report.txt"),
+    "oracle": (cmd_oracle, "oracle_report.txt"),
+    "estimate-t2": (cmd_estimate_t2, "estimate_t2.txt"),
 }
 
 
@@ -552,7 +561,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="critspec",
         description="Decoherence spectroscopy of critical magnetic fluctuations")
-    parser.add_argument("command", choices=sorted(_DEFAULT_OUT))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
@@ -563,26 +572,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        out = args.out or _DEFAULT_OUT[args.command]
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out, seed)
-        if args.command == "decohere":
-            return cmd_decohere(cfg, out, seed)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out, seed)
-        if args.command == "collapse":
-            return cmd_collapse(cfg, out, seed)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, out, seed)
-        return cmd_estimate_t2(cfg, out, seed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+        command, default_out = _COMMANDS[args.command]
+        return command(cfg, args.out or default_out, seed)
     except QuadratureError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
-        # engine-level rejection of an unphysical parameter combination
+        # a ConfigError, or the engine's rejection of an unphysical parameter
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

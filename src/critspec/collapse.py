@@ -45,13 +45,12 @@ __all__ = [
 
 @dataclass
 class SweepGrid:
-    """Phase-variance records over (d, tau, T[, lambda]) with uncertainties."""
+    """Phase-variance records over (d, tau, T[, lambda]); the collapse metric is unweighted."""
 
     d: np.ndarray
     tau: np.ndarray
     T: np.ndarray
     phi_sq: np.ndarray
-    errors: np.ndarray | None = None
     lam: np.ndarray | None = None
 
     def __post_init__(self):
@@ -70,12 +69,6 @@ class SweepGrid:
                 raise ValueError(f"{name} must be finite")
             if name != "lam" and np.any(a <= 0.0):
                 raise ValueError(f"{name} must be positive")
-        if self.errors is None:
-            self.errors = np.zeros(n)
-        else:
-            self.errors = np.asarray(self.errors, dtype=float).ravel()
-            if self.errors.size != n or np.any(self.errors < 0.0):
-                raise ValueError("errors must be non-negative, one per record")
         for name in ("d", "tau", "T") + (("lam",) if self.lam is not None else ()):
             nd = np.unique(getattr(self, name)).size
             if nd == 2:
@@ -94,7 +87,6 @@ class SweepGrid:
         sub.tau = self.tau[idx]
         sub.T = self.T[idx]
         sub.phi_sq = self.phi_sq[idx]
-        sub.errors = self.errors[idx]
         sub.lam = None if self.lam is None else self.lam[idx]
         return sub
 

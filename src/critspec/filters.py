@@ -111,7 +111,7 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Probe-sample geometry: height d, lattice constant a, layer stack.
+    """Probe-sample geometry: height d and layer stack, in units of the lattice constant.
 
     layer_offsets are depths of additional layers relative to the first,
     so the physical heights are d + offset for each entry; the default is
@@ -120,15 +120,12 @@ class GeometryConfig:
     """
 
     d: float
-    a: float = 1.0
     layer_offsets: tuple[float, ...] = (0.0,)
     field_prefactor: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.d) and self.d > 0.0):
             raise ValueError("probe height d must be positive and finite")
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError("lattice constant a must be positive and finite")
         offs = np.asarray(self.layer_offsets, dtype=float)
         if offs.size == 0 or np.any(offs < 0.0) or not np.all(np.isfinite(offs)):
             raise ValueError("layer offsets must be finite and non-negative")

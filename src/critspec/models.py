@@ -150,8 +150,9 @@ class O3Regime:
     """O(3) sigma-model regime near a quantum critical point.
 
     delta is the stiffness rho_s on the ordered side, the gap Delta on the
-    paramagnet side, and is ignored at criticality.  Observables go through
-    o3_transport, which maps the regime onto DiffusiveO3 coefficients.
+    paramagnet side, and must be 0 at criticality, where nothing reads it.
+    Observables go through o3_transport, which maps the regime onto
+    DiffusiveO3 coefficients.
     """
 
     c: float
@@ -166,6 +167,8 @@ class O3Regime:
         _positive("T", self.T)
         if self.side != "critical":
             _positive("delta", self.delta)
+        elif self.delta != 0.0:
+            raise ValueError("delta must be 0 on the critical side")
 
     def to_diffusive(self) -> DiffusiveO3:
         chi_u, d_s = o3_transport(self)
@@ -210,6 +213,32 @@ def lorentzian_parameters(model, q):
         lor = 1.0 + (qq * m.xi) ** 2
         return m.chi00 / lor, m.gamma_rate * lor
     raise TypeError(f"not a sample model: {type(model).__name__}")
+
+
+def resonance_q(model, omega: float) -> float | None:
+    """Momentum where the mode rate r_q of lorentzian_parameters crosses omega, if any."""
+    m = model
+    if omega <= 0.0:
+        return None
+    if isinstance(m, ModelA):
+        val = omega / (m.gamma0 * m.J) - m.inv_xi_sq
+        return math.sqrt(val) if val > 0.0 else None
+    if isinstance(m, ModelB):
+        # sigma_s J q^2 (q^2 + xi^-2) = omega
+        ix2 = m.inv_xi_sq
+        q2 = 0.5 * (-ix2 + math.sqrt(ix2**2 + 4.0 * omega / (m.sigma_s * m.J)))
+        return math.sqrt(q2) if q2 > 0.0 else None
+    if isinstance(m, DiffusiveO3):
+        return math.sqrt(omega / m.D_s)
+    if isinstance(m, TfimQC):
+        val = omega / m.gamma_rate - 1.0
+        return math.sqrt(val) / m.xi if val > 0.0 else None
+    raise TypeError(f"not a sample model: {type(model).__name__}")
+
+
+def is_critical_ab(model) -> bool:
+    """Model A or B at its critical point (xi = inf), where N(omega = 0) diverges."""
+    return isinstance(model, (ModelA, ModelB)) and math.isinf(model.xi)
 
 
 def lorentzian_coupling(model, q):

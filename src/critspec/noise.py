@@ -31,7 +31,7 @@ from scipy.special import sici
 
 from .filters import (GeometryConfig, PulseSequence, filter_function,
                       jump_weights, momentum_filter)
-from .models import ModelA, ModelB, as_lorentzian_model, lorentzian_parameters
+from .models import as_lorentzian_model, is_critical_ab, lorentzian_parameters, resonance_q
 from .quadrature import QuadratureError, integrate, log_edges
 
 __all__ = [
@@ -110,31 +110,6 @@ def sequence_at(seq: PulseSequence, tau: float) -> PulseSequence:
     return PulseSequence.ramsey(tau, seq.kappa)
 
 
-def _is_critical_ab(model) -> bool:
-    return isinstance(model, (ModelA, ModelB)) and math.isinf(model.xi)
-
-
-def _resonance_q(model, omega: float) -> float | None:
-    """Momentum where the mode relaxation rate crosses omega (if any)."""
-    m = model
-    if omega <= 0.0:
-        return None
-    if isinstance(m, ModelA):
-        val = omega / (m.gamma0 * m.J) - m.inv_xi_sq
-        return math.sqrt(val) if val > 0.0 else None
-    if isinstance(m, ModelB):
-        # sigma_s J q^2 (q^2 + xi^-2) = omega
-        ix2 = m.inv_xi_sq
-        q2 = 0.5 * (-ix2 + math.sqrt(ix2**2 + 4.0 * omega / (m.sigma_s * m.J)))
-        return math.sqrt(q2) if q2 > 0.0 else None
-    if hasattr(m, "D_s"):
-        return math.sqrt(omega / m.D_s)
-    if hasattr(m, "gamma_rate"):
-        val = omega / m.gamma_rate - 1.0
-        return math.sqrt(val) / m.xi if val > 0.0 else None
-    return None
-
-
 # panel edges of every q-integral, in units of 1/d_min: the momentum
 # filter's scale
 _Q_EDGES = (0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0)
@@ -154,7 +129,7 @@ def _q_integral(m, geom: GeometryConfig, pref: float, kernel, rates, rtol: float
     if math.isfinite(xi):
         edges.append(1.0 / xi)
     for rate in rates:
-        qr = _resonance_q(m, rate)
+        qr = resonance_q(m, rate)
         if qr is not None:
             edges += [0.5 * qr, qr, 2.0 * qr]
 
@@ -188,31 +163,27 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
     if m.T == 0.0:
         pass  # classical FDT: no fluctuations at T = 0
     else:
-        div = (w == 0.0) & _is_critical_ab(m)
+        div = (w == 0.0) & is_critical_ab(m)
         out[div] = math.inf
         todo = ~div
         if np.any(todo):
             # chunk by decade so resonance breakpoints stay shared
             wt = w[todo]
-            order = np.argsort(wt)
-            dec = np.floor(np.log10(np.maximum(wt[order], 1e-300)))
-            dec[wt[order] == 0.0] = -np.inf
+            dec = np.floor(np.log10(np.maximum(wt, 1e-300)))
+            dec[wt == 0.0] = -np.inf
             vals = np.empty(wt.shape)
             errs = np.empty(wt.shape)
             pref = m.T / (2.0 * math.pi)
-            start = 0
-            for i in range(1, wt.size + 1):
-                if i == wt.size or dec[i] != dec[start]:
-                    sel = order[start:i]
-                    wc = wt[sel]
+            for decade in np.unique(dec):
+                sel = dec == decade
+                wc = wt[sel]
 
-                    def lorentzian(r, wc=wc):
-                        r = r[:, None]
-                        return 2.0 * r / (r * r + wc * wc)
+                def lorentzian(r, wc=wc):
+                    r = r[:, None]
+                    return 2.0 * r / (r * r + wc * wc)
 
-                    vals[sel], errs[sel], _ = _q_integral(
-                        m, geom, pref, lorentzian, (wc.min(), wc.max()), tol_q)
-                    start = i
+                vals[sel], errs[sel], _ = _q_integral(
+                    m, geom, pref, lorentzian, (wc.min(), wc.max()), tol_q)
             out[todo] = vals
             err[todo] = errs
 
@@ -556,10 +527,10 @@ def cpmg_closed_form(tau: float, omega0: float, omega_p: float, amplitude: float
     return amplitude * (math.pi * tau / (16.0 * omega0)) * bracket
 
 
-def filter_weight_integral(seq: PulseSequence, *, rtol: float = 1e-9):
+def filter_weight_integral(seq: PulseSequence):
     r"""(1/pi) \int_0^inf W_tau(omega) domega, exactly kappa^2 tau in theory.
 
-    Resolved lobes by Gauss-Kronrod panels plus the closed-form tail: from
+    Resolved lobes by Gauss-Kronrod panels at rtol 1e-9 plus the closed-form tail: from
     the jump expansion W = (kappa^2/omega^2)|sum_k J_k e^{-i omega u_k}|^2,
     \int_Omega^inf W domega = kappa^2 [sum J_k^2/Omega
         + sum_{k<l} 2 J_k J_l (cos(Omega D)/Omega - D (pi/2 - Si(Omega D)))]
@@ -575,7 +546,7 @@ def filter_weight_integral(seq: PulseSequence, *, rtol: float = 1e-9):
     def f(w):
         return filter_function(w, seq) / math.pi
 
-    val, err, _ = integrate(f, 0.0, omega_end, rtol=rtol,
+    val, err, _ = integrate(f, 0.0, omega_end, rtol=1e-9,
                             edges=h * np.arange(1, k_end), max_panels=64 * n_seg + 4096)
 
     _, jumps = jump_weights(seq)

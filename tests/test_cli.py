@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from critspec.cli import ConfigError, _fmt, main, read_sweep_csv
+from critspec.cli import (_CONFIG_SCHEMA, _MODEL_KEYS, _MODEL_SCHEMA, _SEQUENCE_KINDS,
+                          ConfigError, _fmt, main, read_sweep_csv)
 from critspec.asymptotics import omega0_for
 from critspec.filters import GeometryConfig, PulseSequence
 from critspec.models import ModelA
@@ -56,6 +57,27 @@ SWEEP_CFG = {"model": A_FAR_BLOCK,
              "sweep": {"d": {"values": [1.0, 2.0]},
                        "tau": {"log_range": [1.0, 10.0, 3]},
                        "T": {"values": [0.5, 1.0]}}}
+
+
+# one model block per kind, setting every key its class reads
+MODEL_BLOCKS = {
+    "model_a": {"kind": "model_a", "J": 1.0, "gamma0": 1.0, "xi": 2.0, "T": 1.0},
+    "model_b": {"kind": "model_b", "J": 1.0, "sigma_s": 1.0, "xi": 2.0, "T": 1.0},
+    "diffusive_o3": {"kind": "diffusive_o3", "chi_u": 1.0, "D_s": 1.0, "T": 1.0},
+    "tfim": {"kind": "tfim", "c": 1.0, "T": 2.0, "z": 1.0, "eta": 0.0},
+    "o3": {"kind": "o3", "c": 1.0, "T": 0.25, "delta": 1.0, "side": "paramagnet"},
+}
+MOVED_VALUES = {"J": 2.0, "gamma0": 2.0, "sigma_s": 2.0, "xi": 4.0, "T": 0.5,
+                "chi_u": 2.0, "D_s": 2.0, "c": 2.0, "z": 2.0, "eta": 0.5, "delta": 2.0,
+                "side": "ordered"}
+# a value the schema accepts for each model and sequence key
+SCHEMA_VALUES = {**MOVED_VALUES, "n_pulses": 2, "switch_times": [0.5]}
+_SEQUENCE_PROPS = _CONFIG_SCHEMA["properties"]["sequence"]["properties"]
+# every (block, kind, key) the schema accepts and the kind does not read
+UNREAD_PAIRS = [("model", kind, key) for kind, keys in _MODEL_KEYS.items()
+                for key in _MODEL_SCHEMA["properties"] if key not in keys | {"kind"}] + \
+               [("sequence", kind, key) for kind, (_, own) in _SEQUENCE_KINDS.items()
+                for key in _SEQUENCE_PROPS if key not in {"kind", "tau", "kappa", *own}]
 
 
 class TestConfigValidation:
@@ -108,6 +130,62 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert f"config invalid at {block}" in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("block, kind, key", UNREAD_PAIRS)
+    def test_key_its_kind_does_not_read_exits_2(self, tmp_path, capsys, block, kind, key):
+        cfg = {"model": MODEL_BLOCKS["model_a"], "geometry": {"d": 1.0},
+               "taus": {"values": [0.5, 2.0]}}
+        if block == "model":
+            cfg["model"] = {**MODEL_BLOCKS[kind], key: SCHEMA_VALUES[key]}
+        else:
+            own = _SEQUENCE_KINDS[kind][1]
+            cfg["sequence"] = {"kind": kind, **{k: SCHEMA_VALUES[k] for k in own},
+                               key: SCHEMA_VALUES[key]}
+        assert main(["decohere", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{block} kind '{kind}'" in err and f"'{key}'" in err
+
+    def test_geometry_lattice_constant_exits_2(self, tmp_path, capsys):
+        # nothing in the engine reads a lattice constant; lengths are in units of it
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0, "a": 2.0},
+                                   "taus": {"values": [1.0]}})
+        assert main(["decohere", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at geometry" in err and "'a'" in err
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind in MODEL_BLOCKS
+                                           for key in sorted(_MODEL_KEYS[kind])])
+    def test_every_key_a_kind_reads_changes_the_output(self, tmp_path, kind, key):
+        assert set(MODEL_BLOCKS[kind]) - {"kind"} == _MODEL_KEYS[kind]
+        rows = []
+        for name, block in (("base", MODEL_BLOCKS[kind]),
+                            ("moved", {**MODEL_BLOCKS[kind], key: MOVED_VALUES[key]})):
+            cfg = write_cfg(tmp_path, {"model": block, "geometry": {"d": 1.0},
+                                       "taus": {"values": [0.5, 2.0]}}, f"{name}.json")
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["decohere", "--config", cfg, "--out", out]) == 0
+            cols, data = load_rows(out)
+            rows.append(data[:, cols.index("phi_sq")])
+        assert np.all(rows[0] != rows[1])
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind, (_, own) in
+                                           _SEQUENCE_KINDS.items() for key in own])
+    def test_every_key_a_sequence_kind_reads_is_accepted(self, tmp_path, kind, key):
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "sequence": {"kind": kind, "tau": 2.0, "kappa": 0.5,
+                                                key: SCHEMA_VALUES[key]},
+                                   "taus": {"values": [0.5, 2.0]}})
+        assert main(["decohere", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+
+    def test_critical_o3_with_a_lambda_axis_exits_2(self, tmp_path, capsys):
+        # nothing reads the gap at criticality, so a lambda axis there moves nothing
+        cfg = write_cfg(tmp_path, {
+            "model": {"kind": "o3", "side": "critical"}, "geometry": {"d": 1.0},
+            "sweep": {"d": {"values": [1.0]}, "tau": {"values": [0.5, 1.0]},
+                      "T": {"values": [1.0]}, "lambda": {"values": [0.5, 1.0, 1.5]}}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "delta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, extra", [
         ("decohere", {"taus": {"values": [0.3, 1.0]}}),
@@ -348,13 +426,12 @@ class TestSweep:
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
         grid, _, columns = read_sweep_csv(out)
-        lines = body(out)
-        rebuilt = [",".join(columns)]
-        for i in range(grid.d.size):
-            rebuilt.append(",".join(_fmt(v) for v in
-                                    (grid.d[i], grid.tau[i], grid.T[i],
-                                     grid.phi_sq[i], grid.errors[i])))
-        assert rebuilt == lines
+        # the grid keeps the four columns the collapse reads; err is not one
+        names = ["d", "tau", "T", "phi_sq"]
+        file_rows = [l.split(",") for l in body(out)[1:]]
+        expected = [[row[columns.index(c)] for c in names] for row in file_rows]
+        rebuilt = [[_fmt(getattr(grid, c)[i]) for c in names] for i in range(grid.size)]
+        assert len(rebuilt) == 27 and rebuilt == expected
 
     def test_malformed_csv_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.csv"

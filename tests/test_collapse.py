@@ -218,13 +218,6 @@ class TestSweepGrid:
         # one distinct value (pinned) and >= 3 (swept) are both fine
         SweepGrid(d=[1, 1, 1], tau=[1, 2, 3], T=[1, 1, 1], phi_sq=[1, 2, 3])
 
-    def test_errors_default_and_validation(self):
-        g = SweepGrid(d=[1, 1, 1], tau=[1, 2, 3], T=[1, 1, 1], phi_sq=[1, 2, 3])
-        assert np.all(g.errors == 0.0)
-        with pytest.raises(ValueError):
-            SweepGrid(d=[1, 1, 1], tau=[1, 2, 3], T=[1, 1, 1],
-                      phi_sq=[1, 2, 3], errors=[0.1, -0.1, 0.1])
-
     def test_take_preserves_lambda(self):
         g = SweepGrid(d=[1, 1, 1, 1], tau=[1, 2, 3, 4], T=[1, 1, 1, 1],
                       phi_sq=[1, 2, 3, 4], lam=[0.5, 0.6, 0.7, 0.8])

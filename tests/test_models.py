@@ -15,9 +15,11 @@ from critspec.models import (
     as_lorentzian_model,
     chi,
     fdt_convert,
+    is_critical_ab,
     lorentzian_coupling,
     lorentzian_parameters,
     o3_transport,
+    resonance_q,
     structure_factor,
 )
 
@@ -167,6 +169,36 @@ def test_validation_rejects_nonpositive_scales():
         O3Regime(c=1.0, T=1.0, side="weird")
     with pytest.raises(ValueError):
         O3Regime(c=1.0, T=1.0, delta=0.0, side="paramagnet")
+
+
+def test_o3_critical_side_rejects_a_gap():
+    # nothing reads delta at criticality, so a nonzero value would be ignored
+    assert O3Regime(c=1.0, T=1.0, delta=0.0, side="critical").delta == 0.0
+    with pytest.raises(ValueError, match="critical"):
+        O3Regime(c=1.0, T=1.0, delta=0.5, side="critical")
+
+
+@pytest.mark.parametrize("m", ALL_MODELS + [ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0),
+                                            ModelB(sigma_s=1.0, J=1.0, xi=math.inf, T=1.0)])
+def test_resonance_q_inverts_the_mode_rate(m):
+    _, r0 = lorentzian_parameters(m, 0.0)
+    for omega in (1.5 * r0 + 0.3, 7.0 * r0 + 2.0):
+        q = resonance_q(m, omega)
+        assert lorentzian_parameters(m, q)[1] == pytest.approx(omega, rel=1e-12)
+    # below the q = 0 rate nothing resonates; Model A/B and TFIM have a gap there
+    assert resonance_q(m, 0.0) is None
+    if r0 > 0.0:
+        assert resonance_q(m, 0.5 * r0) is None
+
+
+def test_resonance_and_criticality_dispatch_on_the_resolved_models():
+    reg = O3Regime(c=1.0, T=0.3, side="critical")
+    with pytest.raises(TypeError):
+        resonance_q(reg, 1.0)
+    assert resonance_q(reg.to_diffusive(), 1.0) > 0.0
+    assert is_critical_ab(ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0))
+    assert is_critical_ab(ModelB(sigma_s=1.0, J=1.0, xi=math.inf, T=1.0))
+    assert not any(is_critical_ab(m) for m in ALL_MODELS)
 
 
 def test_xi_infinite_is_admitted():

@@ -69,6 +69,21 @@ def test_noise_density_even_nonnegative_and_array():
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [ModelB(sigma_s=1.0, J=1.0, xi=2.0, T=1.0),
+                               ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0)])
+def test_noise_density_does_not_depend_on_omega_order(m):
+    # omegas are grouped by decade, one q-integral each; the order they come in
+    # must not change a value
+    geom = GeometryConfig(d=1.0)
+    w = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 17)))
+    perm = np.random.default_rng(3).permutation(w.size)
+    vals, errs = noise_spectral_density(w, m, geom, full_output=True)
+    pv, pe = noise_spectral_density(w[perm], m, geom, full_output=True)
+    assert np.array_equal(pv, vals[perm]) and np.array_equal(pe, errs[perm])
+    one = [noise_spectral_density(x, m, geom) for x in w[[1, 9, 17]]]
+    np.testing.assert_allclose(vals[[1, 9, 17]], one, rtol=1e-7)
+
+
 def test_zero_temperature_noise_vanishes():
     m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=0.0)
     assert noise_spectral_density(0.7, m, GeometryConfig(d=1.0)) == 0.0
