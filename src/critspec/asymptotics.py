@@ -183,6 +183,10 @@ def table1_quantum(model, T: float, tau: float, d: float, delta: float = 0.0) ->
     transport coefficients; the quantum-critical transverse-field row is
     tau T^{(2+eta)/z}/c^4 * ln(c/(d T^{1/z})).  Valid in the dynamic,
     near-field window only.
+
+    The diffusive rows (O(3) and DiffusiveO3) are the engine's
+    motional-narrowing limit: phi_squared -> table/(4 pi) as tau D_s/d^2
+    grows.  Acceptance criterion 09 checks this table, not the engine.
     """
     if not (T > 0.0 and tau > 0.0 and d > 0.0):
         raise ValueError("T, tau, d must be positive")

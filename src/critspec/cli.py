@@ -557,17 +557,20 @@ _COMMANDS = {
 }
 
 
+# built once, as _VALIDATOR is, rather than on every main() call
+_PARSER = argparse.ArgumentParser(
+    prog="critspec",
+    description="Decoherence spectroscopy of critical magnetic fluctuations")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="JSON config path")
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--threads", type=int, default=None,
+                     help="no effect: every command runs in one process")
+_PARSER.add_argument("--out", default=None, help="output file path")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="critspec",
-        description="Decoherence spectroscopy of critical magnetic fluctuations")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="no effect: every command runs in one process")
-    parser.add_argument("--out", default=None, help="output file path")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

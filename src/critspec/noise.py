@@ -15,8 +15,8 @@ N(omega) is the same q-integral with the kernel 2 r/(r^2 + omega^2).
 
 The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
 serves explicit spectrum callables: blocks of lobes (width pi/tau), each
-one adaptive quadrature call, and a smooth 1/omega^2-envelope tail
-continuation.
+one Kronrod panel a lobe unless it needs an adaptive quadrature call, and a
+smooth 1/omega^2-envelope tail continuation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from scipy.special import sici
 from .filters import (GeometryConfig, PulseSequence, filter_function,
                       jump_weights, momentum_filter)
 from .models import as_lorentzian_model, is_critical_ab, lorentzian_parameters, resonance_q
-from .quadrature import QuadratureError, integrate, log_edges
+from .quadrature import QuadratureError, integrate, kronrod_panels, log_edges
 
 __all__ = [
     "QubitParams",
@@ -332,15 +332,84 @@ def _jump_sines(seq: PulseSequence):
     return lags, coefs, float(np.max(np.abs(np.fft.rfft(padded).imag)))
 
 
+class _LobeFilter:
+    r"""omega^2 W(omega) at the Kronrod nodes of lobes of width pi/tau.
+
+    Ramsey and CPMG jump on the grid tau/(2n), n = max(1, N), so
+    omega^2 W = kappa^2 |sum_k J_k e^{-i omega u_k}|^2 has a period of 4n
+    lobes.  Its values on lobes 0..4n-1 fill a (4n, 15) table as those
+    lobes are first met, and lobe j reads row j mod 4n.  Lobes must be met
+    in order from lobe 0, as the lobe blocks are.  A custom sequence shares
+    no grid and evaluates every lobe's own nodes.
+    """
+
+    def __init__(self, seq: PulseSequence):
+        self.seq = seq
+        self.table = None if seq.kind == "custom" else \
+            np.empty((4 * max(1, seq.switches().size), 15))
+        self.filled = 0
+
+    def __call__(self, j0: int, x: np.ndarray) -> np.ndarray:
+        """omega^2 W at x, the (n, 15) nodes of lobes j0..j0+n-1."""
+        if self.table is None:
+            return filter_function(x, self.seq) * x**2
+        j1 = j0 + x.shape[0]
+        stop = min(j1, self.table.shape[0])
+        if self.filled < stop:
+            new = x[self.filled - j0:stop - j0]
+            self.table[self.filled:stop] = filter_function(new, self.seq) * new**2
+            self.filled = stop
+        # an explicit modulo: take's mode="wrap" costs 50x more
+        return np.take(self.table, np.arange(j0, j1) % self.table.shape[0], axis=0)
+
+
+# lobes per first-round chunk: bounds the node arrays of a lobe block
+_LOBE_CHUNK = 2048
+
+
+def _lobe_block(seq: PulseSequence, spectrum, lobes: _LobeFilter, k: int, k_hi: int, *,
+                rtol: float, max_panels: int):
+    r"""(1/pi) \int W N domega over lobes k..k_hi-1, as integrate returns it.
+
+    The first round is one 15-node Kronrod panel a lobe, with omega^2 W from
+    lobes and N from spectrum, in chunks of _LOBE_CHUNK lobes.  It is the
+    result when its |K - G| sum meets rtol of its value, integrate's own
+    first test.  Otherwise the block is one integrate call with an edge on
+    every lobe boundary, which places the same first-round nodes.
+    """
+    h = math.pi / seq.tau
+    val = err = 0.0
+    for j0 in range(k, k_hi, _LOBE_CHUNK):
+        edges = h * np.arange(j0, min(j0 + _LOBE_CHUNK, k_hi) + 1)
+        v, e = kronrod_panels(edges[:-1], edges[1:], lambda x: (
+            (lobes(j0, x) / x**2).ravel() * spectrum(x.ravel()) / math.pi))
+        val += float(v.sum())
+        err += float(e.sum())
+    if err <= rtol * abs(val):
+        return val, err, {"n_panels": k_hi - k, "n_eval": 15 * (k_hi - k)}
+
+    def f(w):
+        return filter_function(w, seq) * spectrum(w) / math.pi
+
+    return integrate(f, k * h, k_hi * h, rtol=rtol, edges=h * np.arange(k + 1, k_hi),
+                     max_panels=max_panels)
+
+
 def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     r"""(1/pi) \int_0^inf W(omega) N(omega) domega with lobe-aligned panels.
 
     spectrum maps an omega array to N values.  Blocks of 16, 32, ... up to
-    8192 lobes of width pi/tau are each one integrate call with an edge on
-    every lobe boundary, so a smooth lobe costs one 15-node panel; after
-    each block the tail test below decides whether to go on, and so sets
-    the lobe count.  A smooth continuation with the exact 1/omega^2
-    envelope covers the rest.  Returns (value, error, diag).
+    8192 lobes of width pi/tau each go to _lobe_block, whose first round
+    gives a smooth lobe one 15-node panel; after each block the tail test
+    below decides whether to go on, and so sets the lobe count.  A smooth
+    continuation with the exact 1/omega^2 envelope covers the rest.
+    Returns (value, error, diag).
+
+    Cost: the filter is evaluated on at most one (4n, 15) table of
+    omega^2 W per call (_LobeFilter), so a first-round node costs a table
+    read, one spectrum value and the Kronrod sums, about 30 ns on top of
+    the spectrum; only blocks that need refinement evaluate the filter at
+    every node.  n_eval counts every node either way.
 
     The continuation drops (2 kappa^2/pi) \int_Omega^inf h dG with
     h = N/omega^2 and G from _jump_sines.  Integrating by parts against
@@ -359,9 +428,7 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     _, jumps = jump_weights(seq)
     sj2 = float(np.sum(jumps**2))
     lags, coefs, g_sup = _jump_sines(seq)
-
-    def f(w):
-        return filter_function(w, seq) * spectrum(w) / math.pi
+    lobes = _LobeFilter(seq)
 
     # W N >= 0, so blocks each within rtol of their own value sum to within
     # rtol of the total.
@@ -372,8 +439,8 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     while True:
         k_hi = min(k + block, _MAX_LOBES)
         # the panel cap allows 60 rounds of up to 4096 splits each
-        v, e, info = integrate(f, k * h, k_hi * h, rtol=rtol, edges=h * np.arange(k + 1, k_hi),
-                               max_panels=(k_hi - k) + 60 * 4096)
+        v, e, info = _lobe_block(seq, spectrum, lobes, k, k_hi, rtol=rtol,
+                                 max_panels=(k_hi - k) + 60 * 4096)
         total += v
         err += e
         n_panels += info["n_panels"]
@@ -493,7 +560,13 @@ def t2_extract(curve: DecoherenceCurve) -> float:
 
     has_context = curve.seq is not None and curve.model is not None and curve.geom is not None
     if has_context:
-        fn = lambda t: 2.0 * curve.evaluate(t) - 1.0
+        # brentq evaluates both bracket ends again; they are q-integrals
+        seen = {}
+
+        def fn(t):
+            if t not in seen:
+                seen[t] = 2.0 * curve.evaluate(t) - 1.0
+            return seen[t]
     else:
         interp = PchipInterpolator(np.log(ts), np.log(np.maximum(curve.phi_sq, 1e-300)))
         fn = lambda t: 2.0 * math.exp(interp(math.log(t))) - 1.0
@@ -543,11 +616,9 @@ def filter_weight_integral(seq: PulseSequence):
     k_end = 64 * n_seg
     omega_end = k_end * h
 
-    def f(w):
-        return filter_function(w, seq) / math.pi
-
-    val, err, _ = integrate(f, 0.0, omega_end, rtol=1e-9,
-                            edges=h * np.arange(1, k_end), max_panels=64 * n_seg + 4096)
+    # W alone, on the same lobe blocks as the omega path
+    val, err, _ = _lobe_block(seq, lambda w: 1.0, _LobeFilter(seq), 0, k_end, rtol=1e-9,
+                              max_panels=k_end + 4096)
 
     _, jumps = jump_weights(seq)
     tail = float(np.sum(jumps**2)) / omega_end

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadratureError", "integrate", "log_edges"]
+__all__ = ["QuadratureError", "integrate", "kronrod_panels", "log_edges"]
 
 # QUADPACK dqk15 constants: Kronrod abscissae/weights and the embedded
 # Gauss weights on the shared nodes (zeros on Kronrod-only nodes).
@@ -56,14 +56,16 @@ def log_edges(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:
     return np.geomspace(lo, hi, n + 1)
 
 
-def _eval_panels(f, a, b):
-    """Kronrod value and |K-G| error for each panel [a_i, b_i]."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
+def kronrod_panels(lo, hi, values):
+    """15-point Kronrod value and |K - G| error on each panel [lo_i, hi_i].
+
+    values maps the (n, 15) array of nodes to f there, any shape that
+    reshapes to (n, 15) or (n, 15, m); both results have shape (n, m).
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()))
-    m = 1 if fx.ndim == 1 else fx.shape[-1]
-    fx = fx.reshape(x.shape + (m,))
+    fx = np.asarray(values(x)).reshape(x.shape + (-1,))
     k = (fx * _WK[None, :, None]).sum(axis=1) * h[:, None]
     g = (fx * _WGAUSS[None, :, None]).sum(axis=1) * h[:, None]
     return k, np.abs(k - g)
@@ -91,7 +93,11 @@ def integrate(f, a: float, b: float, *, rtol: float = 1e-8, atol: float = 0.0,
         pts = np.concatenate((pts, e[(e > a) & (e < b)]))
     pts = np.unique(pts)
     lo, hi = pts[:-1].copy(), pts[1:].copy()
-    vals, errs = _eval_panels(f, lo, hi)
+
+    def values(x):
+        return f(x.ravel())
+
+    vals, errs = kronrod_panels(lo, hi, values)
     scalar = vals.shape[1] == 1
     n_eval = lo.size * 15
 
@@ -116,7 +122,7 @@ def integrate(f, a: float, b: float, *, rtol: float = 1e-8, atol: float = 0.0,
         mid = 0.5 * (lo[idx] + hi[idx])
         new_lo = np.concatenate([lo[idx], mid])
         new_hi = np.concatenate([mid, hi[idx]])
-        new_vals, new_errs = _eval_panels(f, new_lo, new_hi)
+        new_vals, new_errs = kronrod_panels(new_lo, new_hi, values)
         n_eval += new_lo.size * 15
         keep = np.ones(lo.size, dtype=bool)
         keep[idx] = False

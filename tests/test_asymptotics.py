@@ -6,6 +6,7 @@ the ratio deep inside each regime rather than absolute agreement.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from critspec.asymptotics import (
@@ -253,6 +254,55 @@ class TestTable1Quantum:
         m = DiffusiveO3(chi_u=0.3, D_s=1.7, T=0.8)
         with pytest.raises(ValueError):
             table1_quantum(m, 0.0, tau=1.0, d=1.0)
+
+
+class TestTable1QuantumThroughTheEngine:
+    """The diffusive rows are the engine's motional-narrowing limit, tau D_s/d^2
+    large, up to the factor 1/(4 pi); criterion 09 checks only the table."""
+
+    @staticmethod
+    def engine(model, tau, d=1.0):
+        return phi_squared(tau, PulseSequence.ramsey(tau), model, GeometryConfig(d=d))
+
+    def test_o3_paramagnet_row_is_the_engine_times_4pi(self):
+        # criterion 09's paramagnet at Delta/T = 45: D_s is so large that the
+        # limit holds already at tau = 1
+        m = O3Regime(c=1.0, T=1.0 / 45.0, delta=1.0, side="paramagnet")
+        for tau in (1.0, 1e2, 1e4):
+            ratio = 4.0 * math.pi * self.engine(m, tau) / table1_quantum(m, m.T, tau, 1.0)
+            assert abs(ratio - 1.0) <= 1e-14
+
+    def test_o3_critical_row_is_the_engine_limit(self):
+        # at T = 1, tau D_s/d^2 = 0.88 tau: the ratio is 0.315, 0.935, 0.998
+        m = O3Regime(c=1.0, T=1.0)
+        misses = [abs(4.0 * math.pi * self.engine(m, tau) / table1_quantum(m, 1.0, tau, 1.0)
+                      - 1.0) for tau in (1.0, 1e2, 1e4)]
+        assert misses[0] > misses[1] > misses[2]
+        assert misses[2] <= 2e-3
+
+    def test_diffusive_row_is_the_engine_limit_in_tau_ds_over_d2(self):
+        m = DiffusiveO3(chi_u=0.5, D_s=2.0, T=0.3)
+        for d in (1.0, 3.0):
+            misses = [abs(4.0 * math.pi * self.engine(m, tau, d)
+                          / table1_quantum(m, m.T, tau, d) - 1.0)
+                      for tau in (1.0, 1e2, 1e4, 1e5)]
+            assert misses == sorted(misses, reverse=True)
+            assert misses[-1] <= 1e-3
+
+    def test_o3_critical_temperature_slope_where_narrowed(self):
+        # criterion 09's T grid; the table's slope is 3 exactly, the engine's
+        # is 2.64 at the criterion's tau = 1, so check every adjacent pair of
+        # T where tau D_s/d^2 >= 100 (D_s falls as 1/T)
+        Ts = np.geomspace(0.1, 1.0, 6)
+        checked = 0
+        for tau in (1.0, 10.0, 1e2, 1e3, 1e4):
+            vals = [self.engine(O3Regime(c=1.0, T=T), tau) for T in Ts]
+            slopes = np.diff(np.log(vals)) / np.diff(np.log(Ts))
+            narrowed = [tau * o3_transport(O3Regime(c=1.0, T=T))[1] >= 100.0 for T in Ts[1:]]
+            for slope in slopes[narrowed]:
+                assert slope == pytest.approx(3.0, abs=0.1)
+                checked += 1
+        assert checked >= 12
 
 
 class TestCpmgRegimes:

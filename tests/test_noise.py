@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from critspec.filters import GeometryConfig, PulseSequence
+import critspec.noise
+from critspec.filters import GeometryConfig, PulseSequence, filter_function, jump_weights
 from critspec.models import ModelA, ModelB, O3Regime, o3_transport, structure_factor
 from critspec.noise import (
     NoCrossingError,
@@ -294,6 +295,76 @@ def test_flat_spectrum_sequence_independence():
         assert v == pytest.approx(expect, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-2", "cpmg-5", "cpmg-32", "cpmg-256"])
+def test_omega_squared_filter_has_a_period_of_4n_lobes(name):
+    # the omega path reads omega^2 W of lobe j from row j mod 4n of one
+    # table, n = max(1, N); checked at random points and within 1e-7 of the
+    # closed form's removable singularities (omega = 0 and the odd
+    # harmonics of pi N/tau), where it hands over to the segment sum
+    seq, switches = make_sequence(name, 1.7)
+    n = max(1, len(switches))
+    period = 4 * n * math.pi / seq.tau
+    w = np.random.default_rng(n).uniform(0.0, period, 200)
+    if switches:
+        sing = (2 * np.arange(2 * n) + 1) * math.pi * n / seq.tau
+        w = np.concatenate([w, sing, sing + 3e-8, sing - 7e-8])
+    w = np.concatenate([w, [1e-8, 5e-8, 1e-7]])
+    scale = seq.kappa**2 * np.sum(np.abs(jump_weights(seq)[1])) ** 2  # bounds omega^2 W
+    here = w**2 * filter_function(w, seq)
+    there = (w + period) ** 2 * filter_function(w + period, seq)
+    assert np.max(np.abs(here - there)) <= 1e-12 * scale
+
+
+def _counting_filter(monkeypatch):
+    points = [0]
+
+    def counted(w, seq):
+        points[0] += np.size(w)
+        return filter_function(w, seq)
+
+    monkeypatch.setattr(critspec.noise, "filter_function", counted)
+    return points
+
+
+@pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-8"])
+def test_omega_path_evaluates_the_filter_on_one_period(monkeypatch, name):
+    # every lobe block here passes its first round, so the filter runs only
+    # on the 4n lobes x 15 nodes of the table, however many lobes follow
+    seq, switches = make_sequence(name, 1.3)
+    n = max(1, len(switches))
+    points = _counting_filter(monkeypatch)
+    for spectrum in (lambda w: 0.7, lambda w: 3.0 / (9.0 + w * w)):
+        points[0] = 0
+        _, _, diag = phi_squared(seq.tau, seq, spectrum=spectrum, tol_omega=1e-9,
+                                 full_output=True)
+        assert diag["n_lobes"] > 4 * n
+        assert points[0] == 4 * n * 15
+    points[0] = 0
+    filter_weight_integral(seq)
+    assert points[0] == 4 * n * 15
+
+
+def test_custom_sequence_shares_the_lobe_blocks():
+    # a custom sequence on the CPMG-8 grid evaluates every node of its own
+    # lobes, where CPMG-8 reads its table: the same lobes, nodes and stops
+    tau = 1.3
+    cpmg, switches = make_sequence("cpmg-8", tau)
+    custom = PulseSequence.custom(switches, tau)
+    for tol in (1e-6, 1e-9):
+        for w0 in (2.0, 40.0):
+            spectrum = lambda w: w0 / (w0 * w0 + w * w)
+            v1, e1, d1 = phi_squared(tau, cpmg, spectrum=spectrum, tol_omega=tol,
+                                     full_output=True)
+            v2, e2, d2 = phi_squared(tau, custom, spectrum=spectrum, tol_omega=tol,
+                                     full_output=True)
+            assert (d1["n_lobes"], d1["n_eval"]) == (d2["n_lobes"], d2["n_eval"])
+            assert v2 == pytest.approx(v1, rel=1e-13)
+            exact = 0.5 * ou_phase_kernel([w0], cpmg)[0, 0]
+            assert abs(v2 - exact) <= min(e2, tol * exact)
+    assert filter_weight_integral(custom)[0] == pytest.approx(
+        filter_weight_integral(cpmg)[0], rel=1e-13)
+
+
 def test_unresolvable_spectrum_raises_instead_of_missing_tolerance():
     # a spectrum that toggles every 1/3000 in omega cannot be resolved to
     # 1e-9 within the panel cap; the omega path must refuse, not return a
@@ -337,6 +408,19 @@ def test_t2_extraction_brackets_crossing():
                              model=None, geom=None, provenance={})
     t2 = t2_extract(curve)
     assert t2 == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-6)
+
+
+def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
+    # the bracket ends are evaluated before brentq, which asks for them again
+    m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
+    curve = decoherence_curve(np.geomspace(1.0, 100.0, 6), PulseSequence.ramsey(1.0), m,
+                              GeometryConfig(d=0.5))
+    asked = []
+    live = curve.evaluate
+    monkeypatch.setattr(curve, "evaluate", lambda t: asked.append(t) or live(t))
+    t2 = t2_extract(curve)
+    assert len(asked) == len(set(asked)) >= 3
+    assert 2.0 * live(t2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_t2_no_crossing_error_carries_bracket():

@@ -3,13 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from critspec.quadrature import QuadratureError, integrate, log_edges
+from critspec.quadrature import QuadratureError, integrate, kronrod_panels, log_edges
 
 
 def test_polynomial_is_exact():
     val, err, _ = integrate(lambda x: x**3, 0.0, 1.0)
     assert abs(val - 0.25) < 1e-14
     assert err < 1e-12
+
+
+def test_kronrod_panels_takes_the_node_grid_and_is_one_round_of_integrate():
+    # the callable sees one row of 15 nodes per panel; the Gauss rule is
+    # exact to degree 13, so |K - G| vanishes there and not at degree 14
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+    shapes = []
+
+    def values(x):
+        shapes.append(x.shape)
+        return np.stack([x**13, x**14], axis=-1)
+
+    k, e = kronrod_panels(lo, hi, values)
+    assert shapes == [(2, 15)] and k.shape == e.shape == (2, 2)
+    np.testing.assert_allclose(k[:, 0], (hi**14 - lo**14) / 14.0, rtol=1e-14)
+    np.testing.assert_allclose(k[:, 1], (hi**15 - lo**15) / 15.0, rtol=1e-14)
+    assert np.all(e[:, 0] < 1e-11) and np.all(e[:, 1] > 1e-9)
+    val, err, info = integrate(lambda x: x**13, 0.0, 2.0, edges=[1.0], rtol=1e-3)
+    assert info["n_eval"] == 30 and (val, err) == (k[:, 0].sum(), e[:, 0].sum())
 
 
 def test_exponential_matches_closed_form():
