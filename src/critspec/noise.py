@@ -8,10 +8,12 @@ closed-form time kernel, the filter-function result in the time domain:
     Q(r; tau)    = \int_0^tau \int_0^tau f(t) f(t') e^{-r|t-t'|} dt dt'.
 
 ou_phase_kernel evaluates Q in closed form, one step per run of equal
-segments of the pulse sequence; phi_squared and decoherence_curve integrate
-it over q with every tau as one component of an adaptive quadrature call
-(up to 16 taus per call).  The oracle's lattice mode sums use the same kernel.
-N(omega) is the same q-integral with the kernel 2 r/(r^2 + omega^2).
+segments of the pulse sequence.  The oracle's lattice mode sums use the same
+kernel.  N(omega) is the same q-integral with the kernel 2 r/(r^2 + omega^2).
+_q_integral alone splits the q-axis for both: every tau or omega is one
+component of an adaptive quadrature call, 16 per call, on the momentum
+filter's panel edges plus a low-q ladder where the call's slowest mode
+resonates below them.
 
 The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
 serves explicit spectrum callables: blocks of lobes (width pi/tau), each
@@ -114,43 +116,65 @@ def sequence_at(seq: PulseSequence, tau: float) -> PulseSequence:
 # filter's scale
 _Q_EDGES = (0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0)
 
+# kernel columns per integrate call: every column is one more component at
+# every node, so one call over a long curve would cost O(n^2) in memory
+_BLOCK = 16
 
-def _q_integral(m, geom: GeometryConfig, pref: float, kernel, rates, rtol: float):
-    r"""\int_0^{40/d_min} dq pref W_d(q) chi_q kernel(r_q), one component per kernel column.
 
-    kernel maps the mode rates r_q (shape (n,)) to an (n, k) array.  W_d is
-    suppressed by e^{-80} at q = 40/d_min.  Panel edges are the shared q/d
-    set, 1/xi, and half, one and two times the q where r_q equals each of
-    rates.  One integrate call; returns (values, errors, info).
+def _q_integral(m, geom: GeometryConfig, pref: float, kernel, columns, rates, rtol: float):
+    r"""\int_0^{40/d_min} dq pref W_d(q) chi_q kernel(r_q, c), one component per column c.
+
+    columns is a sorted array (tau or |omega|) and rates their kernels'
+    turnover rates (1/tau or |omega|).  kernel maps the mode rates r_q
+    (shape (n,)) and a block of columns (shape (k,)) to an (n, k) array.
+    W_d is suppressed by e^{-80} at q = 40/d_min.
+
+    The columns go in blocks of _BLOCK, one integrate call each, with panel
+    edges at the shared q/d set and 1/xi.  Where a block's slowest positive
+    rate resonates at q_r below the first shared edge, log edges run from
+    q_r/2 up to it, two a decade: no Kronrod node of the first shared panel
+    would resolve a feature that far inside it, so its |K - G| estimate
+    could not see it.  Returns (values, errors, info), info's counts summed
+    over the calls.
     """
     d_min = float(np.min(geom.depths))
-    edges = [x / d_min for x in _Q_EDGES]
+    shared = [x / d_min for x in _Q_EDGES]
     xi = getattr(m, "xi", math.inf)
     if math.isfinite(xi):
-        edges.append(1.0 / xi)
-    for rate in rates:
-        qr = resonance_q(m, rate)
-        if qr is not None:
-            edges += [0.5 * qr, qr, 2.0 * qr]
+        shared.append(1.0 / xi)
 
-    def integrand(q):
+    def integrand(q, block):
         chi_q, r_q = lorentzian_parameters(m, q)
-        return (pref * momentum_filter(q, geom) * chi_q)[:, None] * kernel(r_q)
+        return (pref * momentum_filter(q, geom) * chi_q)[:, None] * kernel(r_q, block)
 
-    vals, errs, info = integrate(integrand, 0.0, 40.0 / d_min, rtol=rtol, edges=edges,
-                                 max_panels=8192)
-    return np.atleast_1d(vals), np.atleast_1d(errs), info
+    vals, errs = [], []
+    info = {"n_panels": 0, "n_eval": 0}
+    for start in range(0, columns.size, _BLOCK):
+        block = columns[start:start + _BLOCK]
+        positive = rates[start:start + _BLOCK]
+        positive = positive[positive > 0.0]
+        qr = resonance_q(m, float(positive.min())) if positive.size else None
+        edges = shared
+        if qr is not None and qr < shared[0]:
+            edges = [*shared, *log_edges(0.5 * qr, shared[0], 2)]
+        v, e, i = integrate(lambda q, b=block: integrand(q, b), 0.0, 40.0 / d_min,
+                            rtol=rtol, edges=edges, max_panels=8192)
+        vals.append(np.atleast_1d(v))
+        errs.append(np.atleast_1d(e))
+        info["n_panels"] += i["n_panels"]
+        info["n_eval"] += i["n_eval"]
+    return np.concatenate(vals), np.concatenate(errs), info
 
 
 def noise_spectral_density(omega, model, geom: GeometryConfig, *,
                            tol_q: float = 1e-8, full_output: bool = False):
     r"""N(omega) = \int dq/2pi W_d(q) T chi_q 2 r_q/(r_q^2 + omega^2).
 
-    One adaptive q-integral per decade of |omega|, every omega in the decade
-    one component.  omega may be a scalar or an array; N is even in omega.
-    At a critical point (xi = inf, Model A/B) the q-integral diverges at
-    omega = 0 and inf is returned for that entry rather than a silently
-    unconverged number.
+    Every |omega| is one component of the q-integral, in blocks of sorted
+    |omega| (_q_integral).  omega may be a scalar or an array; N is even in
+    omega.  At a critical point (xi = inf, Model A/B) the q-integral
+    diverges at omega = 0 and inf is returned for that entry rather than a
+    silently unconverged number.
     """
     m = as_lorentzian_model(model)
     w_in = np.abs(np.asarray(omega, dtype=float))
@@ -165,27 +189,17 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
     else:
         div = (w == 0.0) & is_critical_ab(m)
         out[div] = math.inf
-        todo = ~div
-        if np.any(todo):
-            # chunk by decade so resonance breakpoints stay shared
-            wt = w[todo]
-            dec = np.floor(np.log10(np.maximum(wt, 1e-300)))
-            dec[wt == 0.0] = -np.inf
-            vals = np.empty(wt.shape)
-            errs = np.empty(wt.shape)
-            pref = m.T / (2.0 * math.pi)
-            for decade in np.unique(dec):
-                sel = dec == decade
-                wc = wt[sel]
+        todo = np.flatnonzero(~div)
+        if todo.size:
+            todo = todo[np.argsort(w[todo])]
+            ws = w[todo]
 
-                def lorentzian(r, wc=wc):
-                    r = r[:, None]
-                    return 2.0 * r / (r * r + wc * wc)
+            def lorentzian(r, wc):
+                r = r[:, None]
+                return 2.0 * r / (r * r + wc * wc)
 
-                vals[sel], errs[sel], _ = _q_integral(
-                    m, geom, pref, lorentzian, (wc.min(), wc.max()), tol_q)
-            out[todo] = vals
-            err[todo] = errs
+            out[todo], err[todo], _ = _q_integral(m, geom, m.T / (2.0 * math.pi),
+                                                  lorentzian, ws, ws, tol_q)
 
     if np.ndim(omega) == 0:
         return (float(out[0]), float(err[0])) if full_output else float(out[0])
@@ -266,35 +280,19 @@ def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
     return out
 
 
-# taus per q-integral: each tau adds its own panel edges and a kernel
-# column, so one call over a long curve would cost O(n_tau^2) in memory
-_TAU_BLOCK = 16
-
-
 def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *, rtol: float):
-    r"""kappa^2 \int dq/2pi W_d(q) T chi_q Q(r_q; tau) for every tau.
+    r"""kappa^2 \int dq/2pi W_d(q) T chi_q Q(r_q; tau) for every tau of sorted taus.
 
-    Consecutive taus share one q-integral, up to _TAU_BLOCK of them; its
-    extra panel edges sit at the momenta where r_q = 1/tau and
-    r_q = pi n_seg/tau for each tau.  Returns (values, errors,
-    diagnostics); n_panels and n_eval are summed over the calls.
+    Each tau is one column of _q_integral, with turnover rate 1/tau.
+    Returns (values, errors, diagnostics); n_panels and n_eval are summed
+    over the calls.
     """
     m = as_lorentzian_model(model)
     taus = np.asarray(taus, dtype=float)
     pref = seq.kappa**2 * m.T / (2.0 * math.pi)
-    n_seg = seq.switches().size + 1
-    vals, errs = [], []
-    diag = {"path": "time_domain", "n_panels": 0, "n_eval": 0}
-    for start in range(0, taus.size, _TAU_BLOCK):
-        block = taus[start:start + _TAU_BLOCK]
-        rates = [rate for t in block for rate in (1.0 / t, math.pi * n_seg / t)]
-        v, e, info = _q_integral(m, geom, pref, lambda r, b=block: ou_phase_kernel(r, seq, b),
-                                 rates, rtol)
-        vals.append(v)
-        errs.append(e)
-        diag["n_panels"] += info["n_panels"]
-        diag["n_eval"] += info["n_eval"]
-    return np.concatenate(vals), np.concatenate(errs), diag
+    vals, errs, info = _q_integral(m, geom, pref, lambda r, b: ou_phase_kernel(r, seq, b),
+                                   taus, 1.0 / taus, rtol)
+    return vals, errs, {"path": "time_domain", **info}
 
 
 # past this many lobes the tail continuation has still not taken over and

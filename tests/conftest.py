@@ -85,11 +85,12 @@ def sequence_double_integral(rate, switch_times, tau):
 
 
 def radial_phi_squared(tau, switch_times, *, d, chi_fn, rate_fn, temperature,
-                       breakpoints=()):
+                       breakpoints=(), epsrel=None):
     """Scratch-built reference: q-integral of the per-mode OU variance.
 
     phi^2 = int dq/(2 pi) q^3 e^{-2 q d} T chi(q) Q(r(q)); quad with the
     caller's breakpoints, entirely separate from the production quadrature.
+    With epsrel, quad runs to that relative error and no absolute one.
     """
     from scipy.integrate import quad
 
@@ -99,7 +100,8 @@ def radial_phi_squared(tau, switch_times, *, d, chi_fn, rate_fn, temperature,
                 / (2.0 * math.pi))
 
     pts = [p for p in breakpoints if 0.0 < p < 40.0 / d]
-    val, _ = quad(f, 0.0, 40.0 / d, limit=400, points=pts or None)
+    eps = {} if epsrel is None else {"epsabs": 0.0, "epsrel": epsrel}
+    val, _ = quad(f, 0.0, 40.0 / d, limit=400, points=pts or None, **eps)
     return val
 
 

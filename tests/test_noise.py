@@ -25,15 +25,17 @@ from critspec.quadrature import QuadratureError
 from conftest import make_sequence, radial_phi_squared, sequence_double_integral
 
 
-def quad_noise_density(model, d, omega):
+def quad_noise_density(model, d, omega, breakpoints=(), epsrel=None):
     # independent reference: direct q-quadrature of the filtered structure
-    # factor, no shared code with the production integrator
+    # factor, no shared code with the production integrator; with epsrel,
+    # quad runs to that relative error and no absolute one
     def f(q):
         return (q**3 * math.exp(-2.0 * q * d)
                 * structure_factor(model, q, omega) / (2.0 * math.pi))
 
+    eps = {} if epsrel is None else {"epsabs": 0.0, "epsrel": epsrel}
     val, _ = quad(f, 0.0, 40.0 / d, limit=300,
-                  points=[0.5 / d, 1.5 / d, 3.0 / d])
+                  points=[*breakpoints, 0.5 / d, 1.5 / d, 3.0 / d], **eps)
     return val
 
 
@@ -73,8 +75,8 @@ def test_noise_density_even_nonnegative_and_array():
 @pytest.mark.parametrize("m", [ModelB(sigma_s=1.0, J=1.0, xi=2.0, T=1.0),
                                ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0)])
 def test_noise_density_does_not_depend_on_omega_order(m):
-    # omegas are grouped by decade, one q-integral each; the order they come in
-    # must not change a value
+    # omegas are sorted into blocks, one q-integral each; the order they come
+    # in must not change a value
     geom = GeometryConfig(d=1.0)
     w = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 17)))
     perm = np.random.default_rng(3).permutation(w.size)
@@ -96,6 +98,56 @@ def test_critical_dc_noise_diverges():
     b = ModelB(sigma_s=1.0, J=1.0, xi=math.inf, T=1.0)
     assert math.isinf(noise_spectral_density(0.0, a, geom))
     assert math.isinf(noise_spectral_density(0.0, b, geom))
+
+
+# Model B at xi = 1 has r_q = q^2 (q^2 + 1), so a slow rate resonates at
+# q_r ~ sqrt(rate), far below the first shared panel edge 0.05/d.  No Kronrod
+# node of that panel sees a feature there; the q-integral must place its own
+# edges down to q_r or miss its tolerance while reporting that it met it.
+SLOW_B = ModelB(sigma_s=1.0, J=1.0, xi=1.0, T=1.0)
+
+
+def slow_b_resonance(rate):
+    return math.sqrt(0.5 * (math.sqrt(1.0 + 4.0 * rate) - 1.0))
+
+
+def test_phi_squared_resolves_a_resonance_below_the_first_edge():
+    tau, d, tol = 10**7.5, 0.3, 1e-8
+    seq, switches = make_sequence("hahn", tau)
+    ref = radial_phi_squared(
+        tau, switches, d=d,
+        chi_fn=lambda q: 1.0 / (q * q + 1.0),
+        rate_fn=lambda q: q * q * (q * q + 1.0),
+        temperature=1.0,
+        breakpoints=[slow_b_resonance(1.0 / tau), 0.5 / d, 1.5 / d], epsrel=1e-12)
+    val, err, _ = phi_squared(tau, seq, SLOW_B, GeometryConfig(d=d), tol_q=tol,
+                              full_output=True)
+    assert abs(val - ref) <= tol * ref
+    assert abs(val - ref) <= err
+
+
+@pytest.mark.parametrize("omega", [[1e-9], [0.0, 1e-9]], ids=["slow", "with-dc"])
+def test_noise_density_resolves_a_resonance_below_the_first_edge(omega):
+    # with omega = 0 in the same block, the ladder must still start from
+    # the slowest positive rate: 0 resonates nowhere
+    d, tol = 10.0, 1e-8
+    vals, errs = noise_spectral_density(np.array(omega), SLOW_B, GeometryConfig(d=d),
+                                        tol_q=tol, full_output=True)
+    for w, val, err in zip(omega, vals, errs):
+        points = [slow_b_resonance(w)] if w > 0.0 else []
+        ref = quad_noise_density(SLOW_B, d, w, breakpoints=points, epsrel=1e-12)
+        assert abs(val - ref) <= tol * ref
+        assert abs(val - ref) <= err
+
+
+def test_tol_q_sets_the_work():
+    # the q-integral's panel edges do not fix its work: a tighter request
+    # refines further
+    m = ModelA(gamma0=1.0, J=1.0, xi=5.0, T=1.0)
+    taus = np.geomspace(0.1, 1e3, 12)
+    work = [decoherence_curve(taus, PulseSequence.cpmg(8, 1.0), m, GeometryConfig(d=3.0),
+                              tol_q=tol).provenance["n_eval"] for tol in (1e-8, 1e-12)]
+    assert work[1] > work[0]
 
 
 def test_phi_squared_vs_radial_reference_model_a():

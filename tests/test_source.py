@@ -1,5 +1,6 @@
 """Source hygiene: every module compiles without warnings, keeps to the
-public names of the others, and reads no environment variable."""
+public names of the others, reads no environment variable, and defines no
+top-level function or class that nothing calls."""
 
 import ast
 import pathlib
@@ -90,3 +91,56 @@ def test_environment_check_catches_both_spellings():
            "n = os.environ.get('N')\n"
            "m = os.getenv('M')\n")
     assert sorted(environment_reads(src)) == ["os.environ", "os.getenv", "os.getenv"]
+
+
+def top_level_definitions(source):
+    """Names of the functions and classes a module defines at top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def references(source):
+    """Names a module loads, bare (`f`) or as an attribute (`mod.f`).
+
+    Imports, and so re-exports, are not uses, nor are the strings of
+    `__all__`; a top-level function or class naming itself in its own body
+    does not use itself.
+    """
+    used = set()
+    for stmt in ast.parse(source).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt)
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 and isinstance(node.ctx, ast.Load)}
+        names.discard(getattr(stmt, "name", None))
+        used |= names
+    return used
+
+
+def unreferenced(modules, others):
+    """module.name for each top-level function or class of modules (stem ->
+    source) that neither modules nor the sources in others reference."""
+    used = set().union(*map(references, [*modules.values(), *others]))
+    return [f"{stem}.{name}" for stem, source in modules.items()
+            for name in top_level_definitions(source) if name not in used]
+
+
+def test_every_top_level_name_has_a_caller():
+    # code left without a caller in src/, tests/ or bench/ gets deleted
+    root = pathlib.Path(__file__).resolve().parents[1]
+    others = [p.read_text() for folder in ("tests", "bench")
+              for p in sorted((root / folder).glob("*.py"))]
+    assert unreferenced({p.stem: p.read_text() for p in SOURCES}, others) == []
+
+
+def test_unreferenced_check_ignores_own_body_all_and_reexports():
+    module = ("__all__ = ['called', 'recursive', 'exported', 'Built']\n"
+              "def called(): return Built()\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def exported(): pass\n"
+              "class Built:\n"
+              "    def copy(self): return Built()\n")
+    init = "from .mod import called, recursive, exported, Built\n"
+    caller = "from critspec import mod\nmod.called()\n"
+    assert unreferenced({"mod": module, "__init__": init}, [caller]) == \
+        ["mod.recursive", "mod.exported"]
