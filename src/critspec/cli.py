@@ -56,6 +56,11 @@ _SEQUENCE_KINDS = {"ramsey": (PulseSequence.ramsey, {}),
                    "custom": (PulseSequence.custom, {"switch_times": []})}
 
 
+# [lo, hi, point count]; with values' minItems, no axis is empty
+_SPAN_SCHEMA = {"type": "array", "minItems": 3, "maxItems": 3,
+                "prefixItems": [{"type": "number"}, {"type": "number"},
+                                {"type": "integer", "minimum": 1}]}
+
 _AXIS_SCHEMA = {
     "type": "object",
     "oneOf": [
@@ -65,26 +70,21 @@ _AXIS_SCHEMA = {
     ],
     "properties": {
         "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "range": {"type": "array", "items": {"type": "number"},
-                  "minItems": 3, "maxItems": 3},
-        "log_range": {"type": "array", "items": {"type": "number"},
-                      "minItems": 3, "maxItems": 3},
+        "range": _SPAN_SCHEMA,
+        "log_range": _SPAN_SCHEMA,
     },
     "additionalProperties": False,
 }
 
+# every model field is a number but xi (null is critical) and O3Regime's side
 _MODEL_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
         "kind": {"enum": list(_MODEL_KINDS)},
-        "J": {"type": "number"}, "gamma0": {"type": "number"},
-        "sigma_s": {"type": "number"}, "xi": {"type": ["number", "null"]},
-        "T": {"type": "number"}, "chi_u": {"type": "number"},
-        "D_s": {"type": "number"}, "c": {"type": "number"},
-        "z": {"type": "number"}, "eta": {"type": "number"},
-        "delta": {"type": "number"},
-        "side": {"enum": ["critical", "ordered", "paramagnet"]},
+        **{key: {"type": "number"} for key in sorted(set().union(*_MODEL_KEYS.values()))},
+        "xi": {"type": ["number", "null"]},
+        "side": {"type": "string"},
     },
     "additionalProperties": False,
 }
@@ -203,18 +203,14 @@ def load_config(path: str) -> dict:
 
 def _axis(spec) -> np.ndarray:
     if "values" in spec:
-        vals = np.asarray(spec["values"], dtype=float)
-    elif "range" in spec:
+        return np.asarray(spec["values"], dtype=float)
+    if "range" in spec:
         lo, hi, n = spec["range"]
-        vals = np.linspace(lo, hi, int(n))
-    else:
-        lo, hi, n = spec["log_range"]
-        if lo <= 0 or hi <= 0:
-            raise ConfigError("log_range endpoints must be positive")
-        vals = np.geomspace(lo, hi, int(n))
-    if vals.size == 0:
-        raise ConfigError("sweep axis is empty")
-    return vals
+        return np.linspace(lo, hi, int(n))
+    lo, hi, n = spec["log_range"]
+    if lo <= 0 or hi <= 0:
+        raise ConfigError("log_range endpoints must be positive")
+    return np.geomspace(lo, hi, int(n))
 
 
 def _reject_unread(name, kind, block, keys):
@@ -342,7 +338,7 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     seq = _build_sequence(cfg.get("sequence"))
     qubit = _build_qubit(cfg.get("qubit"))
     tol_q = _tol_q(cfg)
-    # the model path runs at min(tol_omega, tol_q): equal values make it tol_q
+    # the model path runs at the tighter of tol_omega and tol_q: equal values make it tol_q
     curve = decoherence_curve(taus, seq, model, geom, tol_omega=tol_q, tol_q=tol_q)
     coh_inf = np.exp(-2.0 * curve.phi_sq)
     columns = ["tau", "phi_sq", "coherence", "err"]
@@ -499,6 +495,9 @@ def cmd_oracle(cfg: dict, out: str, seed=0) -> int:
     n_pulses = max(1, seq.switches().size)
     dt = float(block.get("dt", seq.tau / (40.0 * n_pulses)))
     n_steps = int(round(seq.tau / dt))
+    if n_steps == 0:
+        raise ConfigError(f"oracle.dt = {_fmt(dt)} leaves no time step in "
+                          f"sequence.tau = {_fmt(seq.tau)}")
     dt = seq.tau / n_steps  # keep switches on-grid
     traces = [simulate_field_trace(model, geom, lattice, seq.tau, dt, seed,
                                    trace_index=i) for i in range(n_traces)]

@@ -6,11 +6,11 @@ Classical collapse rescales phase-variance data as
 and the quantum variant as
     y = <phi^2>/T^{(2+eta-z)/z}  vs  (Delta tau, d Delta^{1/z}, Delta/T),
     Delta = Delta0 |lambda - lambda_c|^{z nu}.
-Fits minimize a binned local-regression collapse metric: each point is
-predicted by a quadratic fit to its nearest neighbors in the scaling
-coordinates (leave-one-out), and the residual is the dof-corrected mean
-squared deviation.  Coordinates and y enter the objective in logs so the
-metric is invariant to an overall rescaling of the data.
+Fits minimize a k-nearest-neighbour, leave-one-out collapse metric: each
+point is predicted by a quadratic fit to its k nearest other points in the
+standardised scaling coordinates, and the residual is the dof-corrected
+mean squared deviation.  Coordinates and y enter the objective in logs so
+the metric is invariant to an overall rescaling of the data.
 
 The amplitude xi0 (Delta0) only shifts the scaling coordinates by a
 constant, and the metric standardises them, so it cannot see the amplitude.

@@ -24,10 +24,9 @@ smooth 1/omega^2-envelope tail continuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import sici
 
@@ -67,25 +66,23 @@ class QubitParams:
 class DecoherenceCurve:
     """<phi^2>(tau) samples with per-point error estimates and provenance.
 
-    Keeps the sequence, model and geometry so t2_extract can refine roots
-    on the continuous curve instead of interpolating samples.
+    Keeps the sequence, model and geometry, so t2_extract refines roots on
+    the continuous curve, always at the tolerances provenance records.
     """
 
     taus: np.ndarray
     phi_sq: np.ndarray
     errors: np.ndarray
-    seq: PulseSequence | None = None
-    model: object | None = None
-    geom: GeometryConfig | None = None
-    provenance: dict = field(default_factory=dict)
+    seq: PulseSequence
+    model: object
+    geom: GeometryConfig
+    provenance: dict
 
     def evaluate(self, tau: float) -> float:
-        """Continuous <phi^2>(tau) at the curve's tolerances."""
-        if self.seq is None or self.model is None or self.geom is None:
-            raise ValueError("curve carries no evaluator context")
+        """Continuous <phi^2>(tau) at the curve's recorded tolerances."""
         return phi_squared(tau, self.seq, self.model, self.geom,
-                           tol_omega=self.provenance.get("tol_omega", 1e-6),
-                           tol_q=self.provenance.get("tol_q", 1e-8))
+                           tol_omega=self.provenance["tol_omega"],
+                           tol_q=self.provenance["tol_q"])
 
 
 class NoCrossingError(ValueError):
@@ -99,17 +96,11 @@ class NoCrossingError(ValueError):
 def sequence_at(seq: PulseSequence, tau: float) -> PulseSequence:
     """The same sequence shape rescaled to total time tau.
 
-    Ramsey/CPMG keep their kind and pulse count; custom switch times are
-    scaled by tau/seq.tau so the waveform shape is preserved.
+    Kind, kappa and pulse count are kept; custom switch times are scaled by
+    tau/seq.tau so the waveform shape is preserved.
     """
-    if tau == seq.tau:
-        return seq
-    if seq.kind == "custom":
-        scale = tau / seq.tau
-        return PulseSequence.custom(scale * np.asarray(seq.switch_times), tau, seq.kappa)
-    if seq.kind == "cpmg":
-        return PulseSequence.cpmg(seq.n_pulses, tau, seq.kappa)
-    return PulseSequence.ramsey(tau, seq.kappa)
+    scale = tau / seq.tau
+    return replace(seq, tau=tau, switch_times=tuple(scale * t for t in seq.switch_times))
 
 
 # panel edges of every q-integral, in units of 1/d_min: the momentum
@@ -156,7 +147,7 @@ def _q_integral(m, geom: GeometryConfig, pref: float, kernel, columns, rates, rt
         qr = resonance_q(m, float(positive.min())) if positive.size else None
         edges = shared
         if qr is not None and qr < shared[0]:
-            edges = [*shared, *log_edges(0.5 * qr, shared[0], 2)]
+            edges = [*shared, *log_edges(0.5 * qr, shared[0])]
         v, e, i = integrate(lambda q, b=block: integrand(q, b), 0.0, 40.0 / d_min,
                             rtol=rtol, edges=edges, max_panels=8192)
         vals.append(np.atleast_1d(v))
@@ -280,18 +271,19 @@ def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
     return out
 
 
-def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *, rtol: float):
+def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
+                 tol_omega: float, tol_q: float):
     r"""kappa^2 \int dq/2pi W_d(q) T chi_q Q(r_q; tau) for every tau of sorted taus.
 
-    Each tau is one column of _q_integral, with turnover rate 1/tau.
-    Returns (values, errors, diagnostics); n_panels and n_eval are summed
-    over the calls.
+    Each tau is one column of _q_integral, with turnover rate 1/tau, at
+    the tighter of tol_omega and tol_q.  Returns (values, errors,
+    diagnostics); n_panels and n_eval are summed over the calls.
     """
     m = as_lorentzian_model(model)
     taus = np.asarray(taus, dtype=float)
     pref = seq.kappa**2 * m.T / (2.0 * math.pi)
     vals, errs, info = _q_integral(m, geom, pref, lambda r, b: ou_phase_kernel(r, seq, b),
-                                   taus, 1.0 / taus, rtol)
+                                   taus, 1.0 / taus, min(tol_omega, tol_q))
     return vals, errs, {"path": "time_domain", **info}
 
 
@@ -467,7 +459,7 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
 
     omega_far = omega_end * 1e9
     tail_val, tail_err, tail_info = integrate(tail_f, omega_end, omega_far, rtol=1e-3,
-                                              edges=log_edges(omega_end, omega_far, 2),
+                                              edges=log_edges(omega_end, omega_far),
                                               max_panels=1024)
     n_eval += tail_info["n_eval"]
     beyond = tail_f(np.array([omega_far]))[0] * omega_far  # <= integral of decreasing env
@@ -484,23 +476,24 @@ def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig
                 spectrum=None, full_output: bool = False):
     r"""Phase variance <phi^2> of seq rescaled to total time tau.
 
-    With an explicit spectrum callable (omega array -> N values) this is
-    \int domega/(2pi) W_tau(omega) N(omega) at rtol = tol_omega; tests and
-    closed-form comparisons pass analytic spectra.  Otherwise (model, geom)
-    give the time-domain q-integral of the per-mode kernel Q(r_q; tau) at
-    rtol = min(tol_omega, tol_q).  With full_output, returns (value,
+    With an explicit spectrum callable (omega array -> N values), and no
+    model or geometry, this is \int domega/(2pi) W_tau(omega) N(omega) at
+    rtol = tol_omega; tests and closed-form comparisons pass analytic
+    spectra.  Otherwise (model, geom) give the time-domain q-integral of the per-mode kernel Q(r_q; tau) at
+    the tighter of tol_omega and tol_q.  With full_output, returns (value,
     error_estimate, diagnostics); the diagnostics record the path taken
     ("time_domain" or "omega"), n_panels and n_eval.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive and finite")
+    if (spectrum is None, model is None, geom is None) not in ((True, False, False),
+                                                              (False, True, True)):
+        raise ValueError("phi_squared takes a spectrum alone, or a model and a geometry")
     if spectrum is not None:
         value, err, diag = _filter_weighted(sequence_at(seq, tau), spectrum, rtol=tol_omega)
-    elif model is None or geom is None:
-        raise ValueError("phi_squared needs a model and geometry (or a spectrum)")
     else:
         vals, errs, diag = _time_domain([tau], seq, model, geom,
-                                        rtol=min(tol_omega, tol_q))
+                                        tol_omega=tol_omega, tol_q=tol_q)
         value, err = float(vals[0]), float(errs[0])
     value = max(value, 0.0)
     if full_output:
@@ -510,11 +503,12 @@ def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig
 
 def decoherence_curve(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
                       tol_omega: float = 1e-6, tol_q: float = 1e-8) -> DecoherenceCurve:
-    """Evaluate <phi^2> over a tau grid by the time-domain q-integral."""
+    """<phi^2> over a tau grid by the time-domain q-integral; the curve
+    records tol_omega and tol_q and always evaluates itself at them."""
     ts = np.sort(np.asarray(taus, dtype=float))
-    if ts.size == 0 or np.any(ts <= 0.0):
-        raise ValueError("taus must be positive")
-    vals, errs, diag = _time_domain(ts, seq, model, geom, rtol=min(tol_omega, tol_q))
+    if ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0.0)):
+        raise ValueError("taus must be positive and finite")
+    vals, errs, diag = _time_domain(ts, seq, model, geom, tol_omega=tol_omega, tol_q=tol_q)
     prov = {"tol_omega": tol_omega, "tol_q": tol_q, **diag,
             "kappa": seq.kappa, "kind": seq.kind}
     return DecoherenceCurve(taus=ts, phi_sq=np.maximum(vals, 0.0), errors=errs, seq=seq,
@@ -537,9 +531,8 @@ def coherence(tau, qubit: QubitParams, phi_sq):
 def t2_extract(curve: DecoherenceCurve) -> float:
     """Root of 2 <phi^2>(tau) = 1 by bracketing plus continuous refinement.
 
-    The crossing definition is T1-independent.  Refinement uses the curve's
-    live evaluator when present, otherwise a monotone log-log interpolant of
-    the samples.
+    The crossing definition is T1-independent.  Refinement runs the
+    curve's live evaluator, at the tolerances the curve recorded.
     """
     ts = np.asarray(curve.taus, dtype=float)
     ys = 2.0 * np.asarray(curve.phi_sq, dtype=float) - 1.0
@@ -556,18 +549,14 @@ def t2_extract(curve: DecoherenceCurve) -> float:
     i = int(crossings[0])
     a, b = float(ts[i]), float(ts[i + 1])
 
-    has_context = curve.seq is not None and curve.model is not None and curve.geom is not None
-    if has_context:
-        # brentq evaluates both bracket ends again; they are q-integrals
-        seen = {}
+    # brentq evaluates both bracket ends again; they are q-integrals
+    seen = {}
 
-        def fn(t):
-            if t not in seen:
-                seen[t] = 2.0 * curve.evaluate(t) - 1.0
-            return seen[t]
-    else:
-        interp = PchipInterpolator(np.log(ts), np.log(np.maximum(curve.phi_sq, 1e-300)))
-        fn = lambda t: 2.0 * math.exp(interp(math.log(t))) - 1.0
+    def fn(t):
+        if t not in seen:
+            seen[t] = 2.0 * curve.evaluate(t) - 1.0
+        return seen[t]
+
     fa, fb = fn(a), fn(b)
     if fa == 0.0:
         return a

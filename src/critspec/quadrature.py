@@ -48,11 +48,11 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def log_edges(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:
-    """Geometrically spaced panel edges covering [lo, hi], lo > 0."""
+def log_edges(lo: float, hi: float) -> np.ndarray:
+    """Geometrically spaced panel edges covering [lo, hi], lo > 0, two a decade."""
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    n = max(1, round(per_decade * math.log10(hi / lo)))
+    n = max(1, round(2 * math.log10(hi / lo)))
     return np.geomspace(lo, hi, n + 1)
 
 
@@ -71,12 +71,12 @@ def kronrod_panels(lo, hi, values):
     return k, np.abs(k - g)
 
 
-def integrate(f, a: float, b: float, *, rtol: float = 1e-8, atol: float = 0.0,
-              edges=None, max_panels: int = 4096):
+def integrate(f, a: float, b: float, *, rtol: float = 1e-8, edges=None,
+              max_panels: int = 4096):
     """Adaptive panel integration of f over [a, b].
 
     f maps a 1-d abscissa array to values of shape (n,) or (n, m); with m
-    components each converges to |err_c| <= max(atol, rtol |I_c|).  edges
+    components each converges to |err_c| <= rtol |I_c|.  edges
     optionally seeds interior panel boundaries (they are clipped to (a, b)).
 
     Returns (value, error, info) with value/error scalars for 1-d f, arrays
@@ -104,7 +104,7 @@ def integrate(f, a: float, b: float, *, rtol: float = 1e-8, atol: float = 0.0,
     while True:
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
-        target = np.maximum(atol, rtol * np.abs(total))
+        target = rtol * np.abs(total)
         if np.all(toterr <= target):
             break
         if lo.size >= max_panels:

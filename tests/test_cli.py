@@ -108,6 +108,50 @@ class TestConfigValidation:
                                    "omega": {"values": []}})
         assert main(["spectrum", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("form", ["range", "log_range"])
+    def test_non_integer_point_count_exits_2(self, tmp_path, capsys, form):
+        # 2.5 points used to be cut to 2
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "omega": {form: [1.0, 10.0, 2.5]}})
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config invalid at omega/{form}/2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_point_count_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "omega": {"range": [1.0, 10.0, 0]}})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "config invalid at omega/range/2" in capsys.readouterr().err
+
+    def test_whole_float_point_count_is_accepted(self, tmp_path):
+        # jsonschema counts 3.0 as an integer
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "omega": {"log_range": [1.0, 10.0, 3.0]}})
+        out = str(tmp_path / "spec.csv")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+        assert len(body(out)) == 1 + 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["decohere", "sweep"])
+    def test_non_finite_tau_exits_2(self, tmp_path, capsys, command, bad):
+        # json reads NaN and Infinity, and the schema's number type takes both
+        taus = {"values": [1.0, bad]}
+        extra = {"taus": taus} if command == "decohere" else \
+            {"sweep": {**SWEEP_CFG["sweep"], "tau": taus}}
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0}, **extra})
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "taus must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_o3_side_exits_2(self, tmp_path, capsys):
+        # the schema takes any string; O3Regime names the sides it knows
+        cfg = write_cfg(tmp_path, {"model": {"kind": "o3", "c": 1.0, "side": "sideways"},
+                                   "geometry": {"d": 1.0}, "taus": {"values": [1.0]}})
+        assert main(["decohere", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "unknown O3 regime 'sideways'" in capsys.readouterr().err
+
     def test_negative_tolerance_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
                                    "omega": {"values": [1.0]},
@@ -577,6 +621,15 @@ class TestOracle:
         cfg = write_cfg(tmp_path, {**ORACLE_CFG, "oracle": {"L": 16, "n_traces": 1}})
         out = tmp_path / "oracle.txt"
         assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_dt_past_twice_tau_exits_2(self, tmp_path, capsys):
+        # round(tau/dt) = 0 leaves no time step to put the sequence on
+        cfg = write_cfg(tmp_path, {**ORACLE_CFG, "sequence": {"kind": "hahn", "tau": 1.0},
+                                   "oracle": {"L": 16, "n_traces": 4, "dt": 5.0}})
+        out = tmp_path / "oracle.txt"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: oracle.dt = 5 " in capsys.readouterr().err
         assert not out.exists()
 
     def test_emit_traces_writes_archive(self, tmp_path):

@@ -25,7 +25,7 @@ from critspec.collapse import (
 )
 from critspec.filters import GeometryConfig, PulseSequence
 from critspec.models import ModelA
-from critspec.noise import DecoherenceCurve, phi_squared, t2_extract
+from critspec.noise import decoherence_curve, t2_extract
 
 
 def quadratic_surface(n, sigma=0.0, seed=0):
@@ -546,11 +546,7 @@ class TestTcLocate:
             dt = abs(T - tc_true)
             xi = math.inf if dt == 0.0 else dt ** -0.5
             m = ModelA(gamma0=1.0, J=1.0, xi=xi, T=T)
-            phi = np.array([phi_squared(t, seq, m, geom, tol_omega=1e-4)
-                            for t in taus])
-            curve = DecoherenceCurve(taus=taus, phi_sq=phi,
-                                     errors=np.zeros_like(taus), seq=seq,
-                                     model=m, geom=geom, provenance={})
+            curve = decoherence_curve(taus, seq, m, geom)
             rows.append((T, t2_extract(curve)))
         tc, half = tc_locate(rows)
         assert abs(tc - tc_true) <= 0.125

@@ -451,17 +451,6 @@ def test_halving_tolerances_stays_within_error():
     assert abs(v1 - v2) <= e1 + e2
 
 
-def test_t2_extraction_brackets_crossing():
-    # synthetic curve phi^2 = (tau/3)^2 crosses 2 phi^2 = 1 at tau = 3/sqrt2
-    taus = np.geomspace(0.3, 30.0, 25)
-    from critspec.noise import DecoherenceCurve
-    curve = DecoherenceCurve(taus=taus, phi_sq=(taus / 3.0) ** 2,
-                             errors=np.zeros_like(taus), seq="ramsey",
-                             model=None, geom=None, provenance={})
-    t2 = t2_extract(curve)
-    assert t2 == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-6)
-
-
 def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
     # the bracket ends are evaluated before brentq, which asks for them again
     m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
@@ -476,14 +465,29 @@ def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
 
 
 def test_t2_no_crossing_error_carries_bracket():
-    taus = np.geomspace(0.1, 1.0, 8)
-    from critspec.noise import DecoherenceCurve
-    curve = DecoherenceCurve(taus=taus, phi_sq=1e-6 * taus,
-                             errors=np.zeros_like(taus), seq="ramsey",
-                             model=None, geom=None, provenance={})
+    # 2 <phi^2> stays below 0.07 over these taus
+    m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
+    curve = decoherence_curve(np.geomspace(0.1, 1.0, 8), PulseSequence.ramsey(1.0), m,
+                              GeometryConfig(d=0.5))
     with pytest.raises(NoCrossingError) as exc:
         t2_extract(curve)
-    assert exc.value.bracket is not None
+    assert exc.value.bracket == pytest.approx(2.0 * curve.phi_sq[[0, -1]], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decoherence_curve_rejects_non_finite_taus(bad):
+    m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
+    with pytest.raises(ValueError, match="taus must be positive and finite"):
+        decoherence_curve([1.0, bad], PulseSequence.ramsey(1.0), m, GeometryConfig(d=1.0))
+
+
+@pytest.mark.parametrize("with_model, with_geom", [(True, True), (True, False), (False, True)])
+def test_phi_squared_rejects_a_spectrum_beside_a_model_or_geometry(with_model, with_geom):
+    # the omega path reads the spectrum alone, so a model or geometry would go unread
+    m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0) if with_model else None
+    geom = GeometryConfig(d=1.0) if with_geom else None
+    with pytest.raises(ValueError, match="spectrum alone"):
+        phi_squared(1.0, PulseSequence.ramsey(1.0), m, geom, spectrum=np.ones_like)
 
 
 def test_coherence_overlay_factorizes():

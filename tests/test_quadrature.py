@@ -38,11 +38,12 @@ def test_exponential_matches_closed_form():
 
 
 def test_oscillatory_with_seeded_edges():
-    # int_0^{20 pi} cos x dx = 0; lobe edges keep the cancellation stable
+    # int_0^{20 pi} x sin x dx = -20 pi; the lobes cancel in pairs, so the
+    # seeded lobe edges carry the rtol test
     edges = math.pi * np.arange(1, 20)
-    val, err, _ = integrate(np.cos, 0.0, 20.0 * math.pi,
-                            rtol=1e-10, atol=1e-12, edges=edges)
-    assert abs(val) < 1e-10
+    val, err, _ = integrate(lambda x: x * np.sin(x), 0.0, 20.0 * math.pi,
+                            rtol=1e-10, edges=edges)
+    assert abs(val + 20.0 * math.pi) <= max(err, 1e-13 * 20.0 * math.pi)
 
 
 def test_vector_integrand_componentwise():
@@ -89,7 +90,8 @@ def test_panel_cap_raises_with_best_estimate():
 
 
 def test_log_edges_span_and_monotone():
-    e = log_edges(1e-3, 1e3, per_decade=4)
+    e = log_edges(1e-3, 1e3)
+    assert e.size == 13  # two a decade
     assert e[0] == pytest.approx(1e-3)
     assert e[-1] == pytest.approx(1e3)
     assert np.all(np.diff(e) > 0)

@@ -1,8 +1,10 @@
 """Source hygiene: every module compiles without warnings, keeps to the
 public names of the others, reads no environment variable, and defines no
-top-level function or class that nothing calls."""
+top-level function or class that nothing calls; the package re-exports
+each module's public names once."""
 
 import ast
+import importlib
 import pathlib
 import warnings
 
@@ -20,6 +22,16 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def test_top_level_exports_each_module_name_once():
+    # cli is the front end; every other module's public names are the package's
+    expected = ["__version__"]
+    for stem in sorted(MODULES - {"__init__", "cli"}):
+        expected += importlib.import_module(f"critspec.{stem}").__all__
+    assert sorted(critspec.__all__) == sorted(expected)
+    assert len(set(critspec.__all__)) == len(critspec.__all__)
+    assert [name for name in critspec.__all__ if not hasattr(critspec, name)] == []
 
 
 def _private(name):
