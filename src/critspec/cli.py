@@ -460,8 +460,7 @@ def cmd_collapse(cfg: dict, out: str, seed=0) -> int:
             pt_cols = ["ln_delta_tau", "ln_d_delta", "ln_delta_over_T", "ln_y"]
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    loc_name = "T_c" if mode == "classical" else "lambda_c"
-    amp_name = "xi0" if mode == "classical" else "Delta0"
+    loc_name, amp_name = res.param_names[3:]
     lines = _provenance_lines("collapse", cfg, seed)
     kv = [("mode", mode), ("nu", _fmt(res.nu)), ("eta", _fmt(res.eta)),
           ("z", _fmt(res.z)), (loc_name, _fmt(res.critical_value)),

@@ -1,22 +1,26 @@
 """Dynamic susceptibilities and structure factors of the sample models.
 
-Four interchangeable families, all overdamped per mode:
+Four interchangeable families, all overdamped per mode.  Each states its
+mode law once (_mode_law), two relations linear in s = q^2:
 
-* ModelA      -- non-conserved mean-field relaxational dynamics (z = 2)
-* ModelB      -- conserved order parameter, Gamma(q) = sigma_s q^2 (z = 4)
-* DiffusiveO3 -- hydrodynamic spin diffusion with uniform chi_u and D_s
-* TfimQC      -- phenomenological quantum-critical form, relaxation ~ T
+    coupling chi_q r_q = k0 + k1 s,  inverse susceptibility 1/chi_q = u0 + u1 s
 
-Every one of them reduces per mode to a Lorentzian pair (chi_q, r_q):
+    family       k0           k1         u0       u1          dynamics
+    ModelA       gamma0       0          J/xi^2   J           non-conserved, z = 2
+    ModelB       0            sigma_s    J/xi^2   J           conserved, z = 4
+    DiffusiveO3  0            chi_u D_s  1/chi_u  0           spin diffusion
+    TfimQC       chi00 Gamma  0          1/chi00  xi^2/chi00  quantum critical
+
+O3Regime resolves to DiffusiveO3 through o3_transport.  Per mode that is a
+Lorentzian pair (chi_q, r_q):
 
     chi(q, omega) = chi_q r_q / (r_q - i omega)
     S(q, omega)   = 2 T chi_q r_q / (r_q^2 + omega^2)      (classical FDT)
 
-so the classical fluctuation-dissipation relation S = (2T/omega) Im chi
-holds to rounding by construction.  lorentzian_parameters exposes the pair;
-the noise engine and the stochastic oracle both build on it.
-
-xi = math.inf is the critical point: xi^{-2} is then exactly 0.0.
+so S = (2T/omega) Im chi holds to rounding by construction.
+lorentzian_parameters, lorentzian_coupling, resonance_q and is_critical_ab
+follow from the law; the noise engine and the stochastic oracle build on
+them.  xi = math.inf is the critical point: J/xi^2 is then exactly 0.0.
 """
 
 from __future__ import annotations
@@ -73,10 +77,6 @@ class ModelA:
         _positive("xi", self.xi, allow_inf=True)
         _temperature(self.T)
 
-    @property
-    def inv_xi_sq(self) -> float:
-        return 0.0 if math.isinf(self.xi) else self.xi**-2
-
 
 @dataclass(frozen=True)
 class ModelB:
@@ -92,10 +92,6 @@ class ModelB:
         _positive("sigma_s", self.sigma_s)
         _positive("xi", self.xi, allow_inf=True)
         _temperature(self.T)
-
-    @property
-    def inv_xi_sq(self) -> float:
-        return 0.0 if math.isinf(self.xi) else self.xi**-2
 
 
 @dataclass(frozen=True)
@@ -185,75 +181,60 @@ def as_lorentzian_model(model):
     return model
 
 
-def lorentzian_parameters(model, q):
-    """Per-mode static susceptibility chi_q and relaxation rate r_q.
-
-    Returns (chi_q, r_q) broadcast over q (q >= 0, |q| for vectors).  At a
-    critical point chi_q diverges as q -> 0 for Model A/B; callers that
-    need the product chi_q r_q should use the stable coupling below.
-    """
+def _mode_law(model):
+    """(k0, k1, u0, u1): chi_q r_q = k0 + k1 s and 1/chi_q = u0 + u1 s, s = q^2."""
     m = as_lorentzian_model(model)
+    if isinstance(m, ModelA):
+        return m.gamma0, 0.0, m.J / (m.xi * m.xi), m.J
+    if isinstance(m, ModelB):
+        return 0.0, m.sigma_s, m.J / (m.xi * m.xi), m.J
+    if isinstance(m, DiffusiveO3):
+        return 0.0, m.chi_u * m.D_s, 1.0 / m.chi_u, 0.0
+    if isinstance(m, TfimQC):
+        return m.chi00 * m.gamma_rate, 0.0, 1.0 / m.chi00, m.xi * m.xi / m.chi00
+    raise TypeError(f"not a sample model: {type(model).__name__}")
+
+
+def lorentzian_parameters(model, q):
+    """Per-mode static susceptibility and relaxation rate (chi_q, r_q) = (1/u, k u).
+
+    Broadcast over q (q >= 0, |q| for vectors).  At a critical point chi_q
+    diverges as q -> 0 for Model A/B; callers that need the product
+    chi_q r_q should use the stable coupling below.
+    """
+    k0, k1, u0, u1 = _mode_law(model)
     qq = np.asarray(q, dtype=float)
     if np.any(qq < 0.0):
         raise ValueError("momentum magnitude must be non-negative")
-    if isinstance(m, ModelA):
-        with np.errstate(divide="ignore"):
-            chi_q = 1.0 / (m.J * (m.inv_xi_sq + qq**2))
-        r_q = m.gamma0 * m.J * (m.inv_xi_sq + qq**2)
-        return chi_q, r_q
-    if isinstance(m, ModelB):
-        with np.errstate(divide="ignore"):
-            chi_q = 1.0 / (m.J * (m.inv_xi_sq + qq**2))
-        r_q = m.sigma_s * qq**2 * m.J * (m.inv_xi_sq + qq**2)
-        return chi_q, r_q
-    if isinstance(m, DiffusiveO3):
-        chi_q = np.broadcast_to(np.float64(m.chi_u), qq.shape).copy() if qq.shape else np.float64(m.chi_u)
-        return chi_q, m.D_s * qq**2
-    if isinstance(m, TfimQC):
-        lor = 1.0 + (qq * m.xi) ** 2
-        return m.chi00 / lor, m.gamma_rate * lor
-    raise TypeError(f"not a sample model: {type(model).__name__}")
+    s = qq**2
+    u = u0 + u1 * s
+    with np.errstate(divide="ignore"):
+        chi_q = 1.0 / u
+    return chi_q, (k0 + k1 * s) * u
 
 
 def resonance_q(model, omega: float) -> float | None:
-    """Momentum where the mode rate r_q of lorentzian_parameters crosses omega, if any."""
-    m = model
-    if omega <= 0.0:
+    """Momentum where the mode rate r_q of lorentzian_parameters crosses omega, if any.
+
+    The positive root in s of (k0 + k1 s)(u0 + u1 s) = omega, taken as
+    s = -2c/(b + sqrt(b^2 - 4ac)) so nothing cancels; None when omega <= r_0.
+    """
+    k0, k1, u0, u1 = _mode_law(model)
+    a, b, c = k1 * u1, k0 * u1 + k1 * u0, k0 * u0 - omega
+    if not c < 0.0:
         return None
-    if isinstance(m, ModelA):
-        val = omega / (m.gamma0 * m.J) - m.inv_xi_sq
-        return math.sqrt(val) if val > 0.0 else None
-    if isinstance(m, ModelB):
-        # sigma_s J q^2 (q^2 + xi^-2) = omega
-        ix2 = m.inv_xi_sq
-        q2 = 0.5 * (-ix2 + math.sqrt(ix2**2 + 4.0 * omega / (m.sigma_s * m.J)))
-        return math.sqrt(q2) if q2 > 0.0 else None
-    if isinstance(m, DiffusiveO3):
-        return math.sqrt(omega / m.D_s)
-    if isinstance(m, TfimQC):
-        val = omega / m.gamma_rate - 1.0
-        return math.sqrt(val) / m.xi if val > 0.0 else None
-    raise TypeError(f"not a sample model: {type(model).__name__}")
+    return math.sqrt(-2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c)))
 
 
 def is_critical_ab(model) -> bool:
-    """Model A or B at its critical point (xi = inf), where N(omega = 0) diverges."""
-    return isinstance(model, (ModelA, ModelB)) and math.isinf(model.xi)
+    """u0 = 0: chi_q diverges at q = 0, and so does N(0); Model A or B at xi = inf."""
+    return _mode_law(model)[2] == 0.0
 
 
 def lorentzian_coupling(model, q):
-    """chi_q * r_q evaluated without the intermediate divergence."""
-    m = as_lorentzian_model(model)
-    qq = np.asarray(q, dtype=float)
-    if isinstance(m, ModelA):
-        return np.broadcast_to(np.float64(m.gamma0), qq.shape)
-    if isinstance(m, ModelB):
-        return m.sigma_s * qq**2
-    if isinstance(m, DiffusiveO3):
-        return m.chi_u * m.D_s * qq**2
-    if isinstance(m, TfimQC):
-        return np.broadcast_to(np.float64(m.chi00 * m.gamma_rate), qq.shape)
-    raise TypeError(f"not a sample model: {type(model).__name__}")
+    """chi_q * r_q = k0 + k1 q^2, free of the intermediate divergence."""
+    k0, k1, _, _ = _mode_law(model)
+    return k0 + k1 * np.asarray(q, dtype=float) ** 2
 
 
 def chi(model, q, omega):

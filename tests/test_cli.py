@@ -158,6 +158,20 @@ class TestConfigValidation:
                                    "tolerances": {"tol_q": -1.0}})
         assert main(["spectrum", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["decohere", "spectrum", "sweep"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, command, bad):
+        # the schema's exclusiveMinimum takes NaN and Infinity; integrate does not
+        extra = {"decohere": {"taus": {"values": [1.0]}},
+                 "spectrum": {"omega": {"values": [1.0]}},
+                 "sweep": {"sweep": SWEEP_CFG["sweep"]}}[command]
+        cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
+                                   "tolerances": {"tol_q": bad}, **extra})
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "rtol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_top_level_key_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, {"model": A_FAR_BLOCK, "frobnicate": 1,
                                    "omega": {"values": [1.0]}})

@@ -179,7 +179,8 @@ def test_o3_critical_side_rejects_a_gap():
 
 
 @pytest.mark.parametrize("m", ALL_MODELS + [ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0),
-                                            ModelB(sigma_s=1.0, J=1.0, xi=math.inf, T=1.0)])
+                                            ModelB(sigma_s=1.0, J=1.0, xi=math.inf, T=1.0),
+                                            O3Regime(c=1.0, T=0.3, side="critical")])
 def test_resonance_q_inverts_the_mode_rate(m):
     _, r0 = lorentzian_parameters(m, 0.0)
     for omega in (1.5 * r0 + 0.3, 7.0 * r0 + 2.0):
@@ -193,9 +194,8 @@ def test_resonance_q_inverts_the_mode_rate(m):
 
 def test_resonance_and_criticality_dispatch_on_the_resolved_models():
     reg = O3Regime(c=1.0, T=0.3, side="critical")
-    with pytest.raises(TypeError):
-        resonance_q(reg, 1.0)
-    assert resonance_q(reg.to_diffusive(), 1.0) > 0.0
+    for w in (0.5, 1.0, 7.0):
+        assert resonance_q(reg, w) == resonance_q(reg.to_diffusive(), w)
     assert is_critical_ab(ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0))
     assert is_critical_ab(ModelB(sigma_s=1.0, J=1.0, xi=math.inf, T=1.0))
     assert not any(is_critical_ab(m) for m in ALL_MODELS)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from critspec.quadrature import QuadratureError, integrate, kronrod_panels, log_edges
+from critspec.quadrature import (_NODES, _WGAUSS, _WK, QuadratureError, integrate,
+                                 kronrod_panels, log_edges)
 
 
 def test_polynomial_is_exact():
@@ -29,6 +30,21 @@ def test_kronrod_panels_takes_the_node_grid_and_is_one_round_of_integrate():
     assert np.all(e[:, 0] < 1e-11) and np.all(e[:, 1] > 1e-9)
     val, err, info = integrate(lambda x: x**13, 0.0, 2.0, edges=[1.0], rtol=1e-3)
     assert info["n_eval"] == 30 and (val, err) == (k[:, 0].sum(), e[:, 0].sum())
+
+
+def test_kronrod_tables_are_exact_to_rounding():
+    # the 15-node rule is exact to degree 22, its embedded 7-node Gauss rule
+    # to degree 13; numpy's own leggauss(7) weights are up to 4 ulp off the
+    # exact values, its nodes 1 ulp
+    k = np.arange(23)
+    exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+    powers = _NODES[:, None] ** k
+    assert np.max(np.abs(_WK @ powers - exact)) <= 4e-16
+    assert np.max(np.abs(_WGAUSS @ powers[:, :14] - exact[:14])) <= 4e-16
+    x, w = np.polynomial.legendre.leggauss(7)
+    gauss = _WGAUSS > 0.0
+    np.testing.assert_array_max_ulp(_NODES[gauss], x, maxulp=2)
+    np.testing.assert_array_max_ulp(_WGAUSS[gauss], w, maxulp=4)
 
 
 def test_exponential_matches_closed_form():
@@ -102,3 +118,10 @@ def test_log_edges_span_and_monotone():
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: x, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_rtol_rejected(rtol):
+    # at NaN no panel is picked to split and at inf any error passes: one round
+    with pytest.raises(ValueError, match="rtol must be finite and positive"):
+        integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, rtol=rtol)

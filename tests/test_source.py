@@ -156,3 +156,44 @@ def test_unreferenced_check_ignores_own_body_all_and_reexports():
     caller = "from critspec import mod\nmod.called()\n"
     assert unreferenced({"mod": module, "__init__": init}, [caller]) == \
         ["mod.recursive", "mod.exported"]
+
+
+MODEL_CLASSES = {"ModelA", "ModelB", "DiffusiveO3", "TfimQC"}
+
+
+def model_dispatches(stem, source):
+    """stem.name of the top-level function or class around each isinstance
+    that names a sample-model class, bare or as an attribute (stem alone at
+    module level)."""
+    found = []
+    for stmt in ast.parse(source).body:
+        where = f"{stem}.{stmt.name}" if hasattr(stmt, "name") else stem
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if names & MODEL_CLASSES:
+                    found.append(where)
+    return found
+
+
+def test_only_the_mode_law_and_the_tables_dispatch_on_the_model_class():
+    # each family states its law once; the asymptotic formula tables are
+    # per-family by nature
+    allowed = {"models._mode_law", "asymptotics.table1_classical",
+               "asymptotics.table1_quantum"}
+    found = {w for p in SOURCES for w in model_dispatches(p.stem, p.read_text())}
+    assert sorted(found - allowed) == []
+
+
+def test_model_dispatch_check_catches_both_spellings():
+    src = ("def law(m):\n"
+           "    return isinstance(m, ModelA)\n"
+           "class Rate:\n"
+           "    def of(self, m):\n"
+           "        return isinstance(m, (int, models.TfimQC))\n"
+           "ok = isinstance(x, O3Regime)\n"
+           "bad = isinstance(x, DiffusiveO3)\n")
+    assert model_dispatches("mod", src) == ["mod.law", "mod.Rate", "mod"]
