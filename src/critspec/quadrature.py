@@ -8,6 +8,12 @@ python overhead once per refinement round, not once per panel.
 
 The integrand may return several components at once (shape (n, m) for n
 abscissae); refinement continues until every component meets its target.
+
+kronrod_panels builds a round's node grid as one matrix product, the
+(n, 2) half-widths and centres times the (2, 15) rows of nodes and ones.
+It takes each panel's Kronrod and Gauss sums from one more: the (n, 15)
+values, or their (n, m, 15) transpose for m components, times the
+(15, 2) weight columns.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ _NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # ascending
 _WK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WGAUSS = np.zeros(15)
 _WGAUSS[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+# [h c] @ _GRID is the node grid c + h x_j; f @ _KG holds the K and G sums
+_GRID = np.stack([_NODES, np.ones(15)])
+_KG = np.stack([_WK, _WGAUSS], axis=1)
 
 
 class QuadratureError(RuntimeError):
@@ -63,16 +72,22 @@ def log_edges(lo: float, hi: float) -> np.ndarray:
 def kronrod_panels(lo, hi, values):
     """15-point Kronrod value and |K - G| error on each panel [lo_i, hi_i].
 
-    values maps the (n, 15) array of nodes to f there, any shape that
-    reshapes to (n, 15) or (n, 15, m); both results have shape (n, m).
+    values maps the C-contiguous (n, 15) array of nodes to f there, any
+    shape that reshapes to (n, 15) or (n, 15, m); both results have shape
+    (n, m).
     """
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _NODES
+    hc = np.empty((lo.size, 2))
+    np.subtract(hi, lo, out=hc[:, 0])
+    np.add(lo, hi, out=hc[:, 1])
+    hc *= 0.5
+    x = hc @ _GRID
     fx = np.asarray(values(x)).reshape(x.shape + (-1,))
-    k = (fx * _WK[None, :, None]).sum(axis=1) * h[:, None]
-    g = (fx * _WGAUSS[None, :, None]).sum(axis=1) * h[:, None]
-    return k, np.abs(k - g)
+    # m = 1 is one (n, 15) product, not a stack of n one-row products
+    kg = fx[:, :, 0] @ _KG if fx.shape[2] == 1 else fx.swapaxes(1, 2) @ _KG
+    kg = kg.reshape(lo.size, -1, 2)
+    kg *= hc[:, :1, None]
+    k = kg[:, :, 0]
+    return k, np.abs(k - kg[:, :, 1])
 
 
 def integrate(f, a: float, b: float, *, rtol: float = 1e-8, edges=None,

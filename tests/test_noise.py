@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from critspec.noise import (
     sequence_at,
     t2_extract,
 )
-from critspec.quadrature import QuadratureError
+from critspec.quadrature import QuadratureError, integrate
 
 from conftest import make_sequence, radial_phi_squared, sequence_double_integral
 
@@ -415,6 +419,63 @@ def test_custom_sequence_shares_the_lobe_blocks():
             assert abs(v2 - exact) <= min(e2, tol * exact)
     assert filter_weight_integral(custom)[0] == pytest.approx(
         filter_weight_integral(cpmg)[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["ramsey", "cpmg-8", "custom"])
+@pytest.mark.parametrize("flat", [False, True])
+def test_lobe_block_first_round_is_integrates_first_round(name, flat):
+    # the lobe path reads W from a one-period table (a custom sequence
+    # evaluates it) and multiplies N in place; integrate evaluates f = W N/pi
+    # on the same lobe edges, so on the same nodes.  CPMG-8's table holds 32
+    # lobes, so the later blocks wrap; a flat spectrum returns a float.
+    tau = 1.3
+    seq, switches = make_sequence("cpmg-8" if name == "custom" else name, tau)
+    if name == "custom":
+        seq = PulseSequence.custom(switches, tau)
+    spectrum = (lambda w: 1.0) if flat else (lambda w: 40.0 / (1600.0 + w * w))
+    lobes = critspec.noise._LobeFilter(seq)
+    h = math.pi / tau
+    for k, k_hi in ((0, 16), (16, 48), (48, 112)):
+        v1, e1, i1 = critspec.noise._lobe_block(seq, spectrum, lobes, k, k_hi,
+                                                rtol=1.0, max_panels=k_hi - k)
+        v2, e2, i2 = integrate(lambda w: filter_function(w, seq) * spectrum(w) / math.pi,
+                               k * h, k_hi * h, rtol=1.0, edges=h * np.arange(k + 1, k_hi),
+                               max_panels=k_hi - k)
+        assert i1 == i2 == {"n_panels": k_hi - k, "n_eval": 15 * (k_hi - k)}
+        assert abs(v1 - v2) <= 1e-14 * v2
+        assert abs(e1 - e2) <= 1e-14 * v2
+
+
+# an omega-path integral over 57,328 lobes and a 40-tau q-integral curve,
+# printed to the last bit
+_THREAD_SCRIPT = """
+import numpy as np
+from critspec.filters import GeometryConfig, PulseSequence
+from critspec.models import ModelA
+from critspec.noise import decoherence_curve, phi_squared
+w0 = 800.0
+print(repr(phi_squared(1.0, PulseSequence.cpmg(256, 1.0), tol_omega=1e-9, full_output=True,
+                       spectrum=lambda w: w0 / (w0 * w0 + w * w))))
+curve = decoherence_curve(np.geomspace(0.01, 100.0, 40), PulseSequence.ramsey(1.0),
+                          ModelA(gamma0=1.0, J=1.0, xi=3.0, T=1.0), GeometryConfig(d=1.0))
+print(curve.phi_sq.tobytes().hex(), curve.errors.tobytes().hex(), curve.provenance)
+"""
+
+
+def test_blas_thread_count_does_not_change_output():
+    # the Kronrod node grids and sums are BLAS matrix products; one and two
+    # BLAS threads must give the same bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert "'path': 'omega'" in outputs[0] and "'path': 'time_domain'" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_unresolvable_spectrum_raises_instead_of_missing_tolerance():

@@ -32,6 +32,38 @@ def test_kronrod_panels_takes_the_node_grid_and_is_one_round_of_integrate():
     assert info["n_eval"] == 30 and (val, err) == (k[:, 0].sum(), e[:, 0].sum())
 
 
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("n", [1, 16, 2048])
+def test_kronrod_panels_matches_the_elementwise_sums(n, m):
+    # the node grid and the K/G sums are matrix products; they agree with
+    # c + h x_j and the elementwise weighted sums to rounding, judged
+    # against sum |w f| since the integrands change sign
+    rng = np.random.default_rng([n, m])
+    lo = np.sort(rng.uniform(-50.0, 50.0, n))
+    hi = lo + rng.uniform(1e-3, 10.0, n)
+    a, b = rng.uniform(0.5, 3.0, (2, m))
+    seen = []
+
+    def values(x):
+        seen.append(x)
+        fx = np.cos(a * x[:, :, None]) * np.exp(-b * np.abs(x[:, :, None]) / 50.0)
+        return fx[:, :, 0] if m == 1 else fx
+
+    k, e = kronrod_panels(lo, hi, values)
+    (x,) = seen
+    assert x.shape == (n, 15) and x.flags.c_contiguous
+    assert k.shape == e.shape == (n, m)
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    grid = c[:, None] + h[:, None] * _NODES
+    assert np.all(np.abs(x - grid) <= 2e-16 * (np.abs(c) + h)[:, None])
+    fx = values(x).reshape(n, 15, m)
+    k_ref = (fx * _WK[None, :, None]).sum(axis=1) * h[:, None]
+    g_ref = (fx * _WGAUSS[None, :, None]).sum(axis=1) * h[:, None]
+    scale = (np.abs(fx) * (_WK + _WGAUSS)[None, :, None]).sum(axis=1) * h[:, None]
+    assert np.all(np.abs(k - k_ref) <= 1e-15 * scale)
+    assert np.all(np.abs(e - np.abs(k_ref - g_ref)) <= 1e-15 * scale)
+
+
 def test_kronrod_tables_are_exact_to_rounding():
     # the 15-node rule is exact to degree 22, its embedded 7-node Gauss rule
     # to degree 13; numpy's own leggauss(7) weights are up to 4 ulp off the
