@@ -219,6 +219,12 @@ def _reject_unread(name, kind, block, keys):
         raise ConfigError(f"{name} kind {kind!r} does not read {unread[0]!r}")
 
 
+def _given(block, **convert):
+    """The keys of block named in convert, each through its converter: the
+    library class keeps its own default for a key the block leaves out."""
+    return {k: conv(block[k]) for k, conv in convert.items() if k in block}
+
+
 def _build_model(block, *, T=None, lam=None):
     if not block:
         raise ConfigError("this command needs a 'model' block")
@@ -246,8 +252,7 @@ def _build_geometry(block: dict, *, d=None) -> GeometryConfig:
         raise ConfigError("geometry block needs a probe distance d")
     try:
         return GeometryConfig(d=float(block["d"]),
-                              layer_offsets=tuple(block.get("layer_offsets", (0.0,))),
-                              field_prefactor=float(block.get("field_prefactor", 1.0)))
+                              **_given(block, layer_offsets=tuple, field_prefactor=float))
     except ValueError as e:
         raise ConfigError(f"bad geometry block: {e}") from e
 
@@ -259,7 +264,7 @@ def _build_sequence(block: dict) -> PulseSequence:
     _reject_unread("sequence", kind, block, {"tau", "kappa", *own})
     try:
         return build(*(block.get(k, v) for k, v in own.items()),
-                     float(block.get("tau", 1.0)), float(block.get("kappa", 1.0)))
+                     float(block.get("tau", 1.0)), **_given(block, kappa=float))
     except ValueError as e:
         raise ConfigError(f"bad sequence block: {e}") from e
 
@@ -489,7 +494,7 @@ def cmd_oracle(cfg: dict, out: str, seed=0) -> int:
     model = _build_model(cfg.get("model"))
     geom = _build_geometry(cfg.get("geometry"))
     seq = _build_sequence(cfg.get("sequence"))
-    lattice = LatticeSpec(L=int(block.get("L", 64)), a=float(block.get("a", 1.0)))
+    lattice = LatticeSpec(L=int(block.get("L", 64)), **_given(block, a=float))
     n_traces = int(block.get("n_traces", 400))
     n_pulses = max(1, seq.switches().size)
     dt = float(block.get("dt", seq.tau / (40.0 * n_pulses)))
@@ -522,8 +527,7 @@ def cmd_estimate_t2(cfg: dict, out: str, seed=None) -> int:
     if not block:
         raise ConfigError("estimate-t2 command needs a 'material' block")
     mat = MaterialParams(J=block["J_meV"] * 1e-3 * EV, a=block["a_nm"] * 1e-9,
-                         S=block["S"], g_s=block.get("g_s", 2.0),
-                         g_sigma=block.get("g_sigma", 2.0))
+                         S=block["S"], **_given(block, g_s=float, g_sigma=float))
     T = float(block["T_K"])
     d = float(block["d_nm"]) * 1e-9
     xi = float(block["xi_nm"]) * 1e-9

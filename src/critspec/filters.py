@@ -7,6 +7,11 @@ the momentum filter W_d(q) picked out by the dipolar kernel of the 2D layer
 and, for explicit noise spectra, the frequency filter
 W_tau(omega) = kappa^2 |\int_0^tau f(t) e^{-i omega t} dt|^2.
 
+filter_function is one segment sum for every sequence kind.  The omega
+path (noise.py) calls it only on refinement nodes and custom sequences:
+Ramsey and CPMG read their first-round lobes from a one-period table of
+omega^2 W, one FFT of the jump train of jump_weights.
+
 Natural units throughout (hbar = k_B = 1, lattice constant a = 1, coupling
 kappa = 1 unless configured otherwise); SI conversions live in materials.py.
 """
@@ -21,22 +26,12 @@ import numpy as np
 __all__ = [
     "PulseSequence",
     "GeometryConfig",
-    "ramsey_filter",
-    "cpmg_filter",
-    "custom_filter",
     "filter_function",
     "cpmg_delta_comb",
     "comb_tail_bound",
     "momentum_filter",
     "jump_weights",
 ]
-
-
-def _check_omega(omega):
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("filter frequency must be finite")
-    return w
 
 
 def _scalar_like(out, ref):
@@ -137,28 +132,18 @@ class GeometryConfig:
         return self.d + np.asarray(self.layer_offsets, dtype=float)
 
 
-def ramsey_filter(omega, seq: PulseSequence):
-    """Free-precession filter kappa^2 4 sin^2(omega tau/2)/omega^2.
+def filter_function(omega, seq: PulseSequence):
+    """W_tau(omega) of any sequence as a sum over its constant-sign segments.
 
-    Evaluated as (kappa tau sinc(omega tau/2 pi))^2, which is exact at
-    omega = 0 (value kappa^2 tau^2) and stable everywhere.
-    """
-    w = _check_omega(omega)
-    x = 0.5 * w * seq.tau
-    out = (seq.kappa * seq.tau) ** 2 * np.sinc(x / math.pi) ** 2
-    return _scalar_like(out, omega)
-
-
-def custom_filter(omega, seq: PulseSequence):
-    """Exact filter for an arbitrary sign sequence, no quadrature.
-
-    Each constant-sign segment [a, b] contributes
+    Each segment [a, b] of sign s contributes
     s (b - a) sinc(omega (b-a)/2) e^{-i omega (a+b)/2} to the transform;
     the filter is kappa^2 |sum of segments|^2.  The sinc form has no
-    singularities, so this is the reference evaluation everywhere,
-    including the removable singular points of the CPMG closed form.
+    singularities, so it holds at omega = 0 (kappa^2 tau^2 for Ramsey) and
+    at the odd harmonics of pi N/tau where the CPMG closed form is 0/0.
     """
-    w = _check_omega(omega)
+    w = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("filter frequency must be finite")
     edges = np.concatenate(([0.0], seq.switches(), [seq.tau]))
     signs = (-1.0) ** np.arange(edges.size - 1)
     half = 0.5 * np.diff(edges)
@@ -168,55 +153,6 @@ def custom_filter(omega, seq: PulseSequence):
     amp = segments.sum(axis=-1)
     out = seq.kappa**2 * (amp.real**2 + amp.imag**2)
     return _scalar_like(out, omega)
-
-
-def cpmg_filter(omega, seq: PulseSequence):
-    """Closed-form CPMG-N filter with parity branch.
-
-    W = kappa^2 (16/omega^2) sin^4(omega tau/4N) P(omega) / cos^2(omega tau/2N),
-    with P = cos^2(omega tau/2) for odd N and sin^2(omega tau/2) for even N.
-    Near the removable singularities (omega -> 0 and the zeros of the cosine
-    denominator at odd harmonics of pi N/tau) the algebraically identical
-    segment-sum form takes over; switch radius 1e-4 on the relevant argument.
-
-    The kernel takes s2 = sin^2(omega tau/4N) once, forms sin^4 as s2 * s2
-    and the denominator as cos(omega tau/2N) = 1 - 2 s2, so a point costs
-    two transcendental calls (s2 and the parity factor).  A literal ** 4
-    goes through the generic power routine, which costs more than the rest
-    of the kernel together; 1 - 2 s2 has the same absolute error
-    as the cosine near its zeros, so the switch to the segment sum is
-    unchanged.
-    """
-    if seq.kind == "cpmg":
-        n = seq.n_pulses
-    elif seq.kind == "custom":
-        raise ValueError("cpmg_filter needs a cpmg sequence")
-    else:
-        raise ValueError("cpmg_filter needs at least one pi pulse (N >= 1)")
-    w = _check_omega(omega)
-    wa = np.atleast_1d(w)
-    tau, kap = seq.tau, seq.kappa
-
-    s2 = np.sin(wa * tau / (4.0 * n)) ** 2
-    den = 1.0 - 2.0 * s2
-    par = np.cos(0.5 * wa * tau) if n % 2 else np.sin(0.5 * wa * tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (16.0 * kap**2 / wa**2) * (s2 * s2) * par**2 / den**2
-
-    near = (np.abs(den) < 1e-4) | (np.abs(wa) * tau < 1e-4)
-    if np.any(near):
-        out[near] = np.atleast_1d(custom_filter(wa[near], seq))
-    out = out.reshape(w.shape)
-    return _scalar_like(out, omega)
-
-
-def filter_function(omega, seq: PulseSequence):
-    """Dispatch to the filter matching seq.kind."""
-    if seq.kind == "ramsey":
-        return ramsey_filter(omega, seq)
-    if seq.kind == "cpmg":
-        return cpmg_filter(omega, seq)
-    return custom_filter(omega, seq)
 
 
 def cpmg_delta_comb(seq: PulseSequence, n_max: int):

@@ -292,6 +292,17 @@ def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
 _MAX_LOBES = 400000
 
 
+def _grid_train(seq: PulseSequence):
+    """(step, train): the jumps of a Ramsey or CPMG sequence on the grid
+    u_p = p step, step = tau/(2n), n = max(1, N); train[p] = J_p, p = 0..2n."""
+    times, jumps = jump_weights(seq)
+    n_grid = 2 * max(1, seq.switches().size)
+    step = seq.tau / n_grid
+    train = np.zeros(n_grid + 1)
+    train[np.rint(times / step).astype(int)] = jumps
+    return step, train
+
+
 def _jump_sines(seq: PulseSequence):
     r"""G(omega) = sum_{k<l} J_k J_l sin(omega D_kl)/D_kl and a bound on |G|.
 
@@ -300,20 +311,18 @@ def _jump_sines(seq: PulseSequence):
     the part the 1/omega^2 tail continuation drops.  Returns (lags, coefs,
     g_sup) with G = sum coefs sin(omega lags)/lags and |G| <= g_sup.
 
-    Ramsey and CPMG jump on the grid tau/(2n), n = max(1, N), so equal lags
-    are merged by an autocorrelation and G is periodic; g_sup is the
-    maximum of |G| sampled at 16 points a lobe of width pi/tau.  A custom
-    sequence keeps every pair and takes g_sup = sum |coefs|/lags.
+    Ramsey and CPMG jump on the grid of _grid_train, so equal lags are
+    merged by an autocorrelation and G is periodic; g_sup is the maximum
+    of |G| sampled at 16 points a lobe of width pi/tau.  A custom sequence
+    keeps every pair and takes g_sup = sum |coefs|/lags.
     """
-    times, jumps = jump_weights(seq)
     if seq.kind == "custom":
+        times, jumps = jump_weights(seq)
         ii, jj = np.triu_indices(times.size, k=1)
         lags, coefs = times[jj] - times[ii], jumps[ii] * jumps[jj]
         return lags, coefs, float(np.sum(np.abs(coefs) / lags))
-    n_grid = 2 * max(1, seq.switches().size)
-    step = seq.tau / n_grid
-    train = np.zeros(n_grid + 1)
-    train[np.rint(times / step).astype(int)] = jumps
+    step, train = _grid_train(seq)
+    n_grid = train.size - 1
     power = np.abs(np.fft.rfft(train, 2 * n_grid + 2)) ** 2
     coefs = np.rint(np.fft.irfft(power, 2 * n_grid + 2)[1:n_grid + 1])
     lags = step * np.arange(1, n_grid + 1)
@@ -323,33 +332,34 @@ def _jump_sines(seq: PulseSequence):
 
 
 class _LobeFilter:
-    r"""W(omega) at the Kronrod nodes of lobes of width pi/tau.
+    r"""W(omega) at the Kronrod nodes of lobes of width h = pi/tau.
 
-    Ramsey and CPMG jump on the grid tau/(2n), n = max(1, N), so
-    omega^2 W = kappa^2 |sum_k J_k e^{-i omega u_k}|^2 has a period of 4n
-    lobes.  Its values on lobes 0..4n-1 fill a (4n, 15) table as those
-    lobes are first met; lobe j copies row j mod 4n and divides it by its
-    own omega^2 in place.  Lobes must be met in order from lobe 0, as the
-    lobe blocks are.  A custom sequence shares no grid and evaluates every
-    lobe's own nodes.
+    Ramsey and CPMG jump at u_p = p tau/(2n) (_grid_train), so at the node
+    omega = x_i + j h of lobe j, with x_i the node of lobe 0,
+        sum_p J_p e^{-i omega u_p} = sum_p [J_p e^{-i x_i u_p}] e^{-2 pi i p j/(4n)},
+    a length-4n DFT over p.  One FFT of the bracketed (15, 2n + 1) array,
+    zero-padded to 4n, gives omega^2 W = kappa^2 |.|^2 on the 4n lobes of a
+    period: a (4n, 15) table, built on the first call from its nodes moved
+    back to lobe 0.  Lobe j reads row j mod 4n and divides it by its own
+    omega^2.  A custom sequence shares no grid and evaluates every lobe's
+    own nodes.
     """
 
     def __init__(self, seq: PulseSequence):
         self.seq = seq
-        self.table = None if seq.kind == "custom" else \
-            np.empty((4 * max(1, seq.switches().size), 15))
-        self.filled = 0
+        self.table = None
 
     def __call__(self, j0: int, x: np.ndarray) -> np.ndarray:
         """W at x, the (n, 15) nodes of lobes j0..j0+n-1, as a new (n, 15) array."""
-        if self.table is None:
+        if self.seq.kind == "custom":
             return filter_function(x, self.seq)
+        if self.table is None:
+            step, train = _grid_train(self.seq)
+            nodes = x[0] - j0 * math.pi / self.seq.tau
+            phase = np.multiply.outer(nodes, step * np.arange(train.size))
+            amp = np.fft.fft(train * np.exp(-1j * phase), n=2 * train.size - 2)
+            self.table = (self.seq.kappa**2 * (amp.real**2 + amp.imag**2)).T.copy()
         period, n = self.table.shape[0], x.shape[0]
-        fill = min(j0 + n, period)
-        if self.filled < fill:
-            new = x[self.filled - j0:fill - j0]
-            self.table[self.filled:fill] = filter_function(new, self.seq) * new**2
-            self.filled = fill
         # whole periods copied in blocks: a gather through an index array
         # (np.take, with or without mode="wrap") costs 2.5x more
         start = j0 % period
@@ -406,13 +416,15 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     continuation with the exact 1/omega^2 envelope covers the rest.
     Returns (value, error, diag).
 
-    Cost: the filter is evaluated on at most one (4n, 15) table of
-    omega^2 W per call (_LobeFilter), so a first-round node costs a table
-    read, a divide by omega^2, one spectrum value and its share of the
-    node-grid and Kronrod-sum matrix products, about 5 ns on top of the
-    spectrum (2-CPU Xeon, one BLAS thread); only blocks that need
-    refinement evaluate the filter at every node.  n_eval counts every
-    node either way.
+    Cost: W comes from one (4n, 15) table of omega^2 W per call, one FFT
+    of the jump train (_LobeFilter; 0.3 ms at CPMG-256), so a first-round
+    node costs a table read, a divide by omega^2, one spectrum value and
+    its share of the node-grid and Kronrod-sum matrix products, about 5 ns
+    on top of the spectrum (2-CPU Xeon, one BLAS thread).  Only blocks
+    that need refinement evaluate filter_function, the segment sum, at
+    every node: 0.1 us a node for Ramsey, 0.2 us for Hahn and about 60 ns
+    a segment (N + 1 of them) at large N.  n_eval counts every node
+    either way.
 
     The continuation drops (2 kappa^2/pi) \int_Omega^inf h dG with
     h = N/omega^2 and G from _jump_sines.  Integrating by parts against
@@ -441,7 +453,9 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     block = 16
     while True:
         k_hi = min(k + block, _MAX_LOBES)
-        # the panel cap allows 60 rounds of up to 4096 splits each
+        # the cap allows 60 * 4096 panels past the block's one a lobe; at
+        # integrate's max(4, n/4) splits a round, 16 (8192 lobes) to 44 (16
+        # lobes) rounds reach it
         v, e, info = _lobe_block(seq, spectrum, lobes, k, k_hi, rtol=rtol,
                                  max_panels=(k_hi - k) + 60 * 4096)
         total += v
@@ -545,7 +559,9 @@ def t2_extract(curve: DecoherenceCurve) -> float:
     """Root of 2 <phi^2>(tau) = 1 by bracketing plus continuous refinement.
 
     The crossing definition is T1-independent.  Refinement runs the
-    curve's live evaluator, at the tolerances the curve recorded.
+    curve's live evaluator, at the tolerances the curve recorded, and
+    stops at a tenth of the tighter one, in tau and relative: closer steps
+    would chase the curve's own rounding.
     """
     ts = np.asarray(curve.taus, dtype=float)
     ys = 2.0 * np.asarray(curve.phi_sq, dtype=float) - 1.0
@@ -578,7 +594,8 @@ def t2_extract(curve: DecoherenceCurve) -> float:
     if fa * fb > 0.0:
         # sampled bracket disagrees with the refined evaluator; fall back
         return float(ts[i] + (ts[i + 1] - ts[i]) * (-ys[i]) / (ys[i + 1] - ys[i]))
-    return float(brentq(fn, a, b, xtol=1e-12 * b, rtol=1e-12))
+    tol = 0.1 * min(curve.provenance["tol_omega"], curve.provenance["tol_q"])
+    return float(brentq(fn, a, b, xtol=tol * b, rtol=max(tol, 4.0 * np.finfo(float).eps)))
 
 
 def cpmg_closed_form(tau: float, omega0: float, omega_p: float, amplitude: float) -> float:

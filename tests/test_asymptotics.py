@@ -47,29 +47,29 @@ class TestOmega0:
         m = ModelA(gamma0=0.7, J=1.3, xi=2.0, T=0.9)
         geom = GeometryConfig(d=3.0)
         expected = 0.7 * 1.3 * (1.0 / 2.0**2 + 1.0 / 3.0**2)
-        assert omega0_for(m, geom) == pytest.approx(expected, rel=1e-12)
+        assert omega0_for(m, geom) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_conserved_critical_rate(self):
         m = ModelB(sigma_s=0.4, J=2.0, xi=math.inf, T=1.1)
         geom = GeometryConfig(d=5.0)
-        assert omega0_for(m, geom) == pytest.approx(0.4 * 2.0 / 5.0**4, rel=1e-12)
+        assert omega0_for(m, geom) == pytest.approx(0.4 * 2.0 / 5.0**4, rel=1e-12, abs=0)
 
     def test_conserved_finite_xi_rate(self):
         m = ModelB(sigma_s=0.4, J=2.0, xi=3.0, T=1.1)
         d = 7.0
         expected = 0.4 * 2.0 * (1 / d**2) * (1 / d**2 + 1 / 3.0**2)
-        assert omega0_for(m, GeometryConfig(d=d)) == pytest.approx(expected, rel=1e-12)
+        assert omega0_for(m, GeometryConfig(d=d)) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_diffusive_rate(self):
         m = DiffusiveO3(chi_u=0.3, D_s=1.7, T=0.8)
-        assert omega0_for(m, GeometryConfig(d=4.0)) == pytest.approx(1.7 / 16.0, rel=1e-12)
+        assert omega0_for(m, GeometryConfig(d=4.0)) == pytest.approx(1.7 / 16.0, rel=1e-12, abs=0)
 
     def test_quantum_critical_rate(self):
         m = TfimQC(c=1.2, T=0.5, z=1.0, eta=0.04)
         d = 3.0
         xi = 1.2 / 0.5
         assert omega0_for(m, GeometryConfig(d=d)) == pytest.approx(
-            0.5 * (1.0 + (xi / d) ** 2), rel=1e-12)
+            0.5 * (1.0 + (xi / d) ** 2), rel=1e-12, abs=0)
 
     def test_min_depth_sets_the_scale(self):
         m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
@@ -125,7 +125,7 @@ class TestHeuristic:
     def test_formula(self):
         val = heuristic_phi_squared(2.0, 3.0, 5.0, 7.0, kappa=1.5)
         expected = 1.5**2 * (4.0 / 9.0) * min(1.0, 1.0 / 14.0) * min(1.0, 25.0 / 9.0)
-        assert val == pytest.approx(expected, rel=1e-12)
+        assert val == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -161,24 +161,24 @@ class TestTable1Classical:
         lab = self.label(STATIC, NEAR_FIELD, w0t=1e-3)
         a = table1_classical(self.A_CRIT, lab, tau=0.5, d=3.0)
         b = table1_classical(self.B_CRIT, lab, tau=0.5, d=3.0)
-        assert a == b == pytest.approx(1.0 * 0.25 / 9.0, rel=1e-12)
+        assert a == b == pytest.approx(1.0 * 0.25 / 9.0, rel=1e-12, abs=0)
 
         lab_f = self.label(STATIC, FAR_FIELD, w0t=1e-3, dxi=30.0)
         val = table1_classical(self.A, lab_f, tau=0.5, d=3.0)
-        assert val == pytest.approx(0.25 * 0.01 / 81.0, rel=1e-12)
+        assert val == pytest.approx(0.25 * 0.01 / 81.0, rel=1e-12, abs=0)
 
     def test_dynamic_cells(self):
         tau, d = 100.0, 2.0
         lab_n = self.label(DYNAMIC, NEAR_FIELD)
         lab_f = self.label(DYNAMIC, FAR_FIELD, dxi=20.0)
         assert table1_classical(self.A_CRIT, lab_n, tau, d) == pytest.approx(
-            tau * math.log(tau / d**2), rel=1e-12)
+            tau * math.log(tau / d**2), rel=1e-12, abs=0)
         assert table1_classical(self.A, lab_f, tau, d) == pytest.approx(
-            tau * 0.1**4 / d**4, rel=1e-12)
+            tau * 0.1**4 / d**4, rel=1e-12, abs=0)
         assert table1_classical(self.B_CRIT, lab_n, tau, d) == pytest.approx(
-            tau**1.5, rel=1e-12)
+            tau**1.5, rel=1e-12, abs=0)
         assert table1_classical(self.B, lab_f, tau, d) == pytest.approx(
-            tau * 0.1**4 / d**2, rel=1e-12)
+            tau * 0.1**4 / d**2, rel=1e-12, abs=0)
 
     def test_log_argument_guard(self):
         lab = self.label(DYNAMIC, NEAR_FIELD)
@@ -224,7 +224,7 @@ class TestTable1Quantum:
         tau, d, T = 5.0, 1.5, 0.3
         arg = 2.0 / (d * T)
         expected = tau * T ** (2.04) / 2.0**4 * math.log(arg)
-        assert table1_quantum(m, T, tau, d) == pytest.approx(expected, rel=1e-12)
+        assert table1_quantum(m, T, tau, d) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_quantum_critical_needs_thermal_window(self):
         m = TfimQC(c=1.0, T=0.5, z=1.0, eta=0.0)
@@ -239,12 +239,12 @@ class TestTable1Quantum:
                 warnings.simplefilter("ignore")
                 chi_u, d_s = o3_transport(reg)
                 val = table1_quantum(reg, T, tau, d)
-            assert val == pytest.approx(T * tau * chi_u / (d**2 * d_s), rel=1e-12)
+            assert val == pytest.approx(T * tau * chi_u / (d**2 * d_s), rel=1e-12, abs=0)
 
     def test_diffusive_row(self):
         m = DiffusiveO3(chi_u=0.3, D_s=1.7, T=0.8)
         assert table1_quantum(m, 0.8, tau=2.0, d=3.0) == pytest.approx(
-            0.8 * 2.0 * 0.3 / (9.0 * 1.7), rel=1e-12)
+            0.8 * 2.0 * 0.3 / (9.0 * 1.7), rel=1e-12, abs=0)
 
     def test_rejects_classical_models(self):
         with pytest.raises(TypeError):
@@ -310,11 +310,11 @@ class TestCpmgRegimes:
         base = cpmg_regimes(omega0=1.0, omega_p=0.01, tau=10.0, d=2.0, xi=1.0)
         fast = cpmg_regimes(omega0=1.0, omega_p=100.0, tau=10.0, d=2.0, xi=1.0)
         x = 0.5 * math.pi * 1.0 / 100.0
-        assert fast == pytest.approx(base * x * x, rel=1e-12)
+        assert fast == pytest.approx(base * x * x, rel=1e-12, abs=0)
 
     def test_slow_pulses_match_unsuppressed_heuristic(self):
         val = cpmg_regimes(omega0=2.0, omega_p=0.1, tau=8.0, d=3.0, xi=1.0)
-        assert val == pytest.approx(8.0 / (2.0 * 9.0) * (1.0 / 9.0), rel=1e-12)
+        assert val == pytest.approx(8.0 / (2.0 * 9.0) * (1.0 / 9.0), rel=1e-12, abs=0)
 
     def test_positive_and_validated(self):
         assert cpmg_regimes(1.0, 1.0, 1.0, 1.0, 1.0) > 0.0

@@ -680,7 +680,7 @@ class TestEstimateT2:
         assert main(["estimate-t2", "--config", cfg1, "--out", o1]) == 0
         assert main(["estimate-t2", "--config", cfg2, "--out", o2]) == 0
         r = float(report_value(o2, "t2_seconds")) / float(report_value(o1, "t2_seconds"))
-        assert r == pytest.approx(4.0, rel=1e-12)
+        assert r == pytest.approx(4.0, rel=1e-12, abs=0)
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         block = dict(CRI3_BLOCK)

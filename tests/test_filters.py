@@ -9,12 +9,9 @@ from critspec.filters import (
     PulseSequence,
     comb_tail_bound,
     cpmg_delta_comb,
-    cpmg_filter,
-    custom_filter,
     filter_function,
     jump_weights,
     momentum_filter,
-    ramsey_filter,
 )
 
 
@@ -36,14 +33,14 @@ def brute_force_filter(omega, switch_times, tau, kappa=1.0):
 
 def test_ramsey_filter_dc_value():
     seq = PulseSequence.ramsey(2.5, kappa=1.3)
-    assert filter_function(0.0, seq) == pytest.approx(1.3**2 * 2.5**2, rel=1e-13)
+    assert filter_function(0.0, seq) == pytest.approx(1.3**2 * 2.5**2, rel=1e-13, abs=0)
 
 
 def test_ramsey_filter_matches_brute_force():
     seq = PulseSequence.ramsey(1.7)
     for w in [0.3, 1.0, 4.7, 33.0]:
-        assert ramsey_filter(w, seq) == pytest.approx(
-            brute_force_filter(w, [], 1.7), rel=1e-12)
+        assert filter_function(w, seq) == pytest.approx(
+            brute_force_filter(w, [], 1.7), rel=1e-12, abs=0)
 
 
 def test_cpmg_matches_brute_force():
@@ -52,23 +49,24 @@ def test_cpmg_matches_brute_force():
         seq = PulseSequence.cpmg(n, tau)
         switches = [tau * (k - 0.5) / n for k in range(1, n + 1)]
         for w in [0.17, 1.0, 9.3, 61.0]:
-            assert cpmg_filter(w, seq) == pytest.approx(
+            assert filter_function(w, seq) == pytest.approx(
                 brute_force_filter(w, switches, tau), rel=1e-10)
 
 
 def test_cpmg_equals_custom_with_same_switches():
-    # the closed form and the generic jump sum are separate code paths
+    # the cpmg kind's switch times and the same times listed by hand
     tau, n = 3.0, 5
     seq_c = PulseSequence.cpmg(n, tau)
     seq_x = PulseSequence.custom([tau * (k - 0.5) / n for k in range(1, n + 1)], tau)
     w = np.geomspace(1e-3, 1e3, 200)
-    np.testing.assert_allclose(cpmg_filter(w, seq_c), custom_filter(w, seq_x),
+    np.testing.assert_allclose(filter_function(w, seq_c), filter_function(w, seq_x),
                                rtol=1e-9)
 
 
 def _closed_form_with_pow(omega, n, tau, kappa):
-    # the CPMG closed form as written before the kernel took sin^2 once:
-    # sin(x) ** 4 and cos(2x) evaluated literally
+    # the CPMG-N closed form, evaluated literally:
+    # W = kappa^2 (16/omega^2) sin^4(omega tau/4N) P / cos^2(omega tau/2N),
+    # P = cos^2(omega tau/2) for odd N and sin^2(omega tau/2) for even N
     x = omega * tau / (4.0 * n)
     par = np.cos(0.5 * omega * tau) if n % 2 else np.sin(0.5 * omega * tau)
     return (16.0 * kappa**2 / omega**2) * np.sin(x) ** 4 * par**2 / np.cos(2.0 * x) ** 2
@@ -89,31 +87,19 @@ def _cpmg_test_grids(n, tau):
 @pytest.mark.parametrize("n", [1, 2, 5, 32, 128, 256, 512])
 def test_cpmg_matches_segment_sum_near_singular_points_and_far_out(n):
     # |W| <= kappa^2 (sum |J_k|)^2/omega^2 is the filter's scale at omega;
-    # next to the switch radius the closed form is off by up to ~4e-10 of
-    # it, and the segment sum itself loses relative digits between the
-    # harmonics
+    # the closed form is 0/0 at the odd harmonics of pi N/tau, so points
+    # with |cos(omega tau/2N)| <= 2e-4 are left out, and the segment sum
+    # loses relative digits between the harmonics
     tau, kappa = 1.7, 1.2
     seq = PulseSequence.cpmg(n, tau, kappa)
-    ref = PulseSequence.custom(seq.switches(), tau, kappa)
     scale_num = kappa**2 * np.sum(np.abs(jump_weights(seq)[1])) ** 2
     for w in _cpmg_test_grids(n, tau):
-        got, want = cpmg_filter(w, seq), custom_filter(w, ref)
+        w = w[np.abs(np.cos(w * tau / (2.0 * n))) > 2e-4]
+        got, want = filter_function(w, seq), _closed_form_with_pow(w, n, tau, kappa)
         envelope = scale_num / w**2
         assert np.max(np.abs(got - want) / envelope) <= 2e-9
         big = want >= 1e-6 * envelope
         assert np.max(np.abs(got[big] / want[big] - 1.0)) <= 2e-8
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 32, 128, 256, 512])
-def test_cpmg_kernel_matches_the_literal_closed_form(n):
-    # the kernel's sin^2 * sin^2 and 1 - 2 sin^2 change the closed form's
-    # values by rounding only; compared where both take the closed form
-    tau, kappa = 1.7, 1.2
-    seq = PulseSequence.cpmg(n, tau, kappa)
-    for w in _cpmg_test_grids(n, tau):
-        w = w[np.abs(np.cos(w * tau / (2.0 * n))) > 2e-4]
-        np.testing.assert_allclose(cpmg_filter(w, seq), _closed_form_with_pow(w, n, tau, kappa),
-                                   rtol=1e-11, atol=0.0)
 
 
 def test_cpmg_near_zero_frequency_is_finite_and_continuous():
@@ -124,14 +110,6 @@ def test_cpmg_near_zero_frequency_is_finite_and_continuous():
     assert tiny[0] == pytest.approx(0.0, abs=1e-20)
     odd = filter_function(np.array([0.0]), PulseSequence.cpmg(5, 1.0))
     assert odd[0] == pytest.approx(0.0, abs=1e-20)
-
-
-def test_filter_function_dispatch_matches_variants():
-    w = np.linspace(0.1, 20.0, 50)
-    r = PulseSequence.ramsey(1.1)
-    np.testing.assert_allclose(filter_function(w, r), ramsey_filter(w, r), rtol=1e-14)
-    c = PulseSequence.cpmg(3, 1.1)
-    np.testing.assert_allclose(filter_function(w, c), cpmg_filter(w, c), rtol=1e-14)
 
 
 def test_jump_weights_sum_to_zero():

@@ -35,7 +35,7 @@ def test_model_a_static_susceptibility():
     m = ModelA(gamma0=1.0, J=2.0, xi=4.0, T=1.0)
     for q in [0.0, 0.3, 2.0]:
         expect = 1.0 / (2.0 * (q * q + 1.0 / 16.0))
-        assert chi(m, q, 0.0).real == pytest.approx(expect, rel=1e-13)
+        assert chi(m, q, 0.0).real == pytest.approx(expect, rel=1e-13, abs=0)
         assert chi(m, q, 0.0).imag == 0.0
 
 
@@ -123,16 +123,16 @@ def test_o3_critical_transport_value():
     # Phi_u = (sqrt5/pi) ln((sqrt5+1)/2) evaluated independently
     expect = (math.sqrt(5.0) / math.pi) * math.log((math.sqrt(5.0) + 1.0) / 2.0)
     chi_u, d_s = o3_transport(O3Regime(c=1.0, T=1.0, side="critical"))
-    assert chi_u == pytest.approx(expect, rel=1e-15)
+    assert chi_u == pytest.approx(expect, rel=1e-15, abs=0)
     assert chi_u == pytest.approx(0.3425085, rel=1e-6)
-    assert chi_u * d_s == pytest.approx(0.3, rel=1e-15)
+    assert chi_u * d_s == pytest.approx(0.3, rel=1e-15, abs=0)
 
 
 def test_o3_transport_scaling_in_temperature():
     a = o3_transport(O3Regime(c=1.5, T=0.2, side="critical"))
     b = o3_transport(O3Regime(c=1.5, T=0.4, side="critical"))
-    assert b[0] / a[0] == pytest.approx(2.0, rel=1e-13)
-    assert b[1] / a[1] == pytest.approx(0.5, rel=1e-13)
+    assert b[0] / a[0] == pytest.approx(2.0, rel=1e-13, abs=0)
+    assert b[1] / a[1] == pytest.approx(0.5, rel=1e-13, abs=0)
 
 
 def test_o3_gapped_sides_exponential():
@@ -185,7 +185,7 @@ def test_resonance_q_inverts_the_mode_rate(m):
     _, r0 = lorentzian_parameters(m, 0.0)
     for omega in (1.5 * r0 + 0.3, 7.0 * r0 + 2.0):
         q = resonance_q(m, omega)
-        assert lorentzian_parameters(m, q)[1] == pytest.approx(omega, rel=1e-12)
+        assert lorentzian_parameters(m, q)[1] == pytest.approx(omega, rel=1e-12, abs=0)
     # below the q = 0 rate nothing resonates; Model A/B and TFIM have a gap there
     assert resonance_q(m, 0.0) is None
     if r0 > 0.0:
@@ -204,5 +204,5 @@ def test_resonance_and_criticality_dispatch_on_the_resolved_models():
 def test_xi_infinite_is_admitted():
     m = ModelA(gamma0=1.0, J=1.0, xi=math.inf, T=1.0)
     chi_q, r_q = lorentzian_parameters(m, 0.5)
-    assert chi_q == pytest.approx(1.0 / 0.25, rel=1e-14)
-    assert r_q == pytest.approx(0.25, rel=1e-14)
+    assert chi_q == pytest.approx(1.0 / 0.25, rel=1e-14, abs=0)
+    assert r_q == pytest.approx(0.25, rel=1e-14, abs=0)

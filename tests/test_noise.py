@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from critspec.noise import (
     sequence_at,
     t2_extract,
 )
-from critspec.quadrature import QuadratureError, integrate
+from critspec.quadrature import QuadratureError, integrate, kronrod_panels
 
 from conftest import make_sequence, radial_phi_squared, sequence_double_integral
 
@@ -354,9 +355,9 @@ def test_flat_spectrum_sequence_independence():
 @pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-2", "cpmg-5", "cpmg-32", "cpmg-256"])
 def test_omega_squared_filter_has_a_period_of_4n_lobes(name):
     # the omega path reads omega^2 W of lobe j from row j mod 4n of one
-    # table, n = max(1, N); checked at random points and within 1e-7 of the
-    # closed form's removable singularities (omega = 0 and the odd
-    # harmonics of pi N/tau), where it hands over to the segment sum
+    # table, n = max(1, N); checked at random points and within 1e-7 of
+    # omega = 0 and of the odd harmonics of pi N/tau, where the closed
+    # form is 0/0
     seq, switches = make_sequence(name, 1.7)
     n = max(1, len(switches))
     period = 4 * n * math.pi / seq.tau
@@ -382,10 +383,33 @@ def _counting_filter(monkeypatch):
     return points
 
 
+def _first_period_nodes(seq):
+    """The (4n, 15) Kronrod nodes of lobes 0..4n-1, as the lobe blocks place them."""
+    n = max(1, seq.switches().size)
+    edges = math.pi / seq.tau * np.arange(4 * n + 1)
+    nodes = []
+    kronrod_panels(edges[:-1], edges[1:], lambda x: nodes.append(x.copy()) or x)
+    return nodes[0]
+
+
+@pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-2", "cpmg-8", "cpmg-64", "cpmg-256"])
+@pytest.mark.parametrize("kappa", [1.0, 1.7])
+def test_fft_table_is_the_filter_on_one_period(name, kappa):
+    # the (4n, 15) table of omega^2 W is one FFT of the jump train; on the
+    # nodes of lobes 0..4n-1 it is the segment sum times omega^2, within
+    # 2e-13 of the bound kappa^2 (sum |J_k|)^2 on omega^2 W
+    seq = replace(make_sequence(name, 1.3)[0], kappa=kappa)
+    x = _first_period_nodes(seq)
+    table = critspec.noise._LobeFilter(seq)(0, x) * x**2
+    scale = kappa**2 * np.sum(np.abs(jump_weights(seq)[1])) ** 2
+    assert table.shape == x.shape
+    assert np.max(np.abs(table - filter_function(x, seq) * x**2)) <= 2e-13 * scale
+
+
 @pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-8"])
 def test_omega_path_evaluates_the_filter_on_one_period(monkeypatch, name):
-    # every lobe block here passes its first round, so the filter runs only
-    # on the 4n lobes x 15 nodes of the table, however many lobes follow
+    # every lobe block here passes its first round, so W comes from the FFT
+    # table alone and the filter function runs on no node
     seq, switches = make_sequence(name, 1.3)
     n = max(1, len(switches))
     points = _counting_filter(monkeypatch)
@@ -394,10 +418,9 @@ def test_omega_path_evaluates_the_filter_on_one_period(monkeypatch, name):
         _, _, diag = phi_squared(seq.tau, seq, spectrum=spectrum, tol_omega=1e-9,
                                  full_output=True)
         assert diag["n_lobes"] > 4 * n
-        assert points[0] == 4 * n * 15
-    points[0] = 0
+        assert points[0] == 0
     filter_weight_integral(seq)
-    assert points[0] == 4 * n * 15
+    assert points[0] == 0
 
 
 def test_custom_sequence_shares_the_lobe_blocks():
@@ -414,11 +437,11 @@ def test_custom_sequence_shares_the_lobe_blocks():
             v2, e2, d2 = phi_squared(tau, custom, spectrum=spectrum, tol_omega=tol,
                                      full_output=True)
             assert (d1["n_lobes"], d1["n_eval"]) == (d2["n_lobes"], d2["n_eval"])
-            assert v2 == pytest.approx(v1, rel=1e-13)
+            assert v2 == pytest.approx(v1, rel=1e-13, abs=0)
             exact = 0.5 * ou_phase_kernel([w0], cpmg)[0, 0]
             assert abs(v2 - exact) <= min(e2, tol * exact)
     assert filter_weight_integral(custom)[0] == pytest.approx(
-        filter_weight_integral(cpmg)[0], rel=1e-13)
+        filter_weight_integral(cpmg)[0], rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("name", ["ramsey", "cpmg-8", "custom"])
@@ -525,6 +548,17 @@ def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
     assert 2.0 * live(t2) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("tol_q", [1e-5, 1e-8])
+def test_t2_root_is_as_accurate_as_the_curve(tol_q):
+    # brentq stops at a tenth of the curve's rtol; at the t2 it returns,
+    # 2 <phi^2> - 1 evaluated far tighter is within a few times that rtol
+    m = ModelB(sigma_s=1.0, J=1.0, xi=3.0, T=1.0)
+    seq, geom = PulseSequence.cpmg(4, 1.0), GeometryConfig(d=0.7)
+    curve = decoherence_curve(np.geomspace(0.5, 500.0, 7), seq, m, geom, tol_q=tol_q)
+    t2 = t2_extract(curve)
+    assert abs(2.0 * phi_squared(t2, seq, m, geom, tol_q=1e-12) - 1.0) <= 3.0 * tol_q
+
+
 def test_t2_no_crossing_error_carries_bracket():
     # 2 <phi^2> stays below 0.07 over these taus
     m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
@@ -532,7 +566,7 @@ def test_t2_no_crossing_error_carries_bracket():
                               GeometryConfig(d=0.5))
     with pytest.raises(NoCrossingError) as exc:
         t2_extract(curve)
-    assert exc.value.bracket == pytest.approx(2.0 * curve.phi_sq[[0, -1]], rel=1e-12)
+    assert exc.value.bracket == pytest.approx(2.0 * curve.phi_sq[[0, -1]], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -557,7 +591,7 @@ def test_coherence_overlay_factorizes():
     phi2 = 0.42
     assert coherence(1.3, q_inf, phi2) == pytest.approx(math.exp(-2 * 0.42))
     assert coherence(1.3, q_fin, phi2) == pytest.approx(
-        math.exp(-2 * 0.42) * math.exp(-1.3 / 2.5), rel=1e-15)
+        math.exp(-2 * 0.42) * math.exp(-1.3 / 2.5), rel=1e-15, abs=0)
 
 
 def test_cpmg_closed_form_series_matches_direct_form():

@@ -216,9 +216,9 @@ class TestShellTable:
         seq = PulseSequence.hahn(3.0)
         omegas = np.array([0.0, 0.4, 5.0])
         b2, phi2, density = full_grid_sums(model, self.GEOM2, lat, seq, omegas)
-        assert stationary_b_variance(model, self.GEOM2, lat) == pytest.approx(b2, rel=1e-12)
+        assert stationary_b_variance(model, self.GEOM2, lat) == pytest.approx(b2, rel=1e-12, abs=0)
         assert mode_sum_phi_squared(model, self.GEOM2, lat, seq) == pytest.approx(
-            phi2, rel=1e-12)
+            phi2, rel=1e-12, abs=0)
         np.testing.assert_allclose(mode_sum_noise_density(model, self.GEOM2, lat, omegas),
                                    density, rtol=1e-12)
 

@@ -197,3 +197,38 @@ def test_model_dispatch_check_catches_both_spellings():
            "ok = isinstance(x, O3Regime)\n"
            "bad = isinstance(x, DiffusiveO3)\n")
     assert model_dispatches("mod", src) == ["mod.law", "mod.Rate", "mod"]
+
+
+def tight_approx_without_abs(source):
+    """Lines of pytest.approx calls (or a bare approx) with a literal
+    rel <= 1e-12 and no abs.  approx's default abs=1e-12 would then decide
+    every check on a value below about 1, so a tight rel means nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "approx")
+                or (isinstance(node.func, ast.Name) and node.func.id == "approx"))):
+            continue
+        kw = {k.arg: k.value for k in node.keywords}
+        try:
+            rel = ast.literal_eval(kw["rel"]) if "rel" in kw else None
+        except ValueError:
+            continue
+        if rel is not None and rel <= 1e-12 and "abs" not in kw:
+            found.append(node.lineno)
+    return found
+
+
+def test_tight_approx_checks_state_abs():
+    hits = [f"{p.name}:{line}" for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))
+            for line in tight_approx_without_abs(p.read_text())]
+    assert hits == []
+
+
+def test_tight_approx_check_catches_both_spellings():
+    src = ("a = pytest.approx(1.0, rel=1e-13)\n"
+           "b = approx(2.0, rel=1e-12)\n"
+           "c = pytest.approx(3.0, rel=1e-13, abs=0)\n"
+           "d = pytest.approx(4.0, rel=1e-9)\n"
+           "e = pytest.approx(5.0, rel=tol)\n")
+    assert tight_approx_without_abs(src) == [1, 2]
