@@ -37,7 +37,6 @@ __all__ = [
     "DiffusiveO3",
     "TfimQC",
     "O3Regime",
-    "SampleModel",
     "lorentzian_parameters",
     "lorentzian_coupling",
     "chi",
@@ -169,9 +168,6 @@ class O3Regime:
     def to_diffusive(self) -> DiffusiveO3:
         chi_u, d_s = o3_transport(self)
         return DiffusiveO3(chi_u=chi_u, D_s=d_s, T=self.T)
-
-
-SampleModel = ModelA | ModelB | DiffusiveO3 | TfimQC | O3Regime
 
 
 def as_lorentzian_model(model):

@@ -18,7 +18,10 @@ resonates below them.
 The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
 serves explicit spectrum callables: blocks of lobes (width pi/tau), each
 one Kronrod panel a lobe unless it needs an adaptive quadrature call, and a
-smooth 1/omega^2-envelope tail continuation.
+1/omega^2-envelope continuation.  tol_omega is its whole error budget: a
+quarter to the lobe blocks, half to the bound on what the continuation
+drops, which sets the lobe count, and a quarter to the continuation
+(_filter_weighted).
 """
 
 from __future__ import annotations
@@ -201,23 +204,11 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
 
 def _runs(seq: PulseSequence) -> list:
     """[segment length / tau, count] for each run of equal consecutive segments."""
-    if seq.kind == "ramsey":
-        segments = [(1.0, 1)]
-    elif seq.kind == "cpmg":
-        n = seq.n_pulses
-        segments = [(0.5 / n, 1), (1.0 / n, n - 1), (0.5 / n, 1)]
-    else:
-        edges = np.concatenate(([0.0], seq.switches(), [seq.tau])) / seq.tau
-        segments = [(float(x), 1) for x in np.diff(edges)]
-    runs = []
-    for frac, k in segments:
-        if k == 0:
-            continue
-        if runs and abs(runs[-1][0] - frac) <= 1e-12 * frac:
-            runs[-1][1] += k
-        else:
-            runs.append([frac, k])
-    return runs
+    fracs = np.diff(np.concatenate(([0.0], seq.switches(), [seq.tau])) / seq.tau)
+    # a run ends where a segment differs from the one before it by more than rounding
+    starts = [0, *(np.flatnonzero(np.abs(np.diff(fracs)) > 1e-12 * fracs[1:]) + 1).tolist(),
+              fracs.size]
+    return [[float(fracs[i]), j - i] for i, j in zip(starts, starts[1:])]
 
 
 # (x - 2 tanh(x/2))/x^2 = x/12 - x^3/120 + ..., taken below x = 0.1 where
@@ -276,15 +267,17 @@ def _time_domain(taus, seq: PulseSequence, model, geom: GeometryConfig, *,
     r"""kappa^2 \int dq/2pi W_d(q) T chi_q Q(r_q; tau) for every tau of sorted taus.
 
     Each tau is one column of _q_integral, with turnover rate 1/tau, at
-    the tighter of tol_omega and tol_q.  Returns (values, errors,
-    diagnostics); n_panels and n_eval are summed over the calls.
+    rtol, the tighter of tol_omega and tol_q.  Returns (values, errors,
+    diagnostics); the diagnostics record rtol, and n_panels and n_eval
+    summed over the calls.
     """
     m = as_lorentzian_model(model)
     taus = np.asarray(taus, dtype=float)
     pref = seq.kappa**2 * m.T / (2.0 * math.pi)
+    rtol = min(tol_omega, tol_q)
     vals, errs, info = _q_integral(m, geom, pref, lambda r, b: ou_phase_kernel(r, seq, b),
-                                   taus, 1.0 / taus, min(tol_omega, tol_q))
-    return vals, errs, {"path": "time_domain", **info}
+                                   taus, 1.0 / taus, rtol)
+    return vals, errs, {"path": "time_domain", "rtol": rtol, **info}
 
 
 # past this many lobes the tail continuation has still not taken over and
@@ -373,7 +366,7 @@ _LOBE_CHUNK = 2048
 
 
 def _lobe_block(seq: PulseSequence, spectrum, lobes: _LobeFilter, k: int, k_hi: int, *,
-                rtol: float, max_panels: int):
+                rtol: float):
     r"""(1/pi) \int W N domega over lobes k..k_hi-1, as integrate returns it.
 
     The first round is one 15-node Kronrod panel a lobe, with W from lobes
@@ -381,7 +374,8 @@ def _lobe_block(seq: PulseSequence, spectrum, lobes: _LobeFilter, k: int, k_hi: 
     chunk's sums take the 1/pi.  It is the result when its |K - G| sum
     meets rtol of its value, integrate's own first test.  Otherwise the
     block is one integrate call with an edge on every lobe boundary, which
-    places the same first-round nodes.
+    places the same first-round nodes, capped at 4096 panels past its one a
+    lobe.
     """
     h = math.pi / seq.tau
     val = err = 0.0
@@ -403,7 +397,7 @@ def _lobe_block(seq: PulseSequence, spectrum, lobes: _LobeFilter, k: int, k_hi: 
         return filter_function(w, seq) * spectrum(w) / math.pi
 
     return integrate(f, k * h, k_hi * h, rtol=rtol, edges=h * np.arange(k + 1, k_hi),
-                     max_panels=max_panels)
+                     max_panels=(k_hi - k) + 4096)
 
 
 def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
@@ -411,10 +405,9 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
 
     spectrum maps an omega array to N values.  Blocks of 16, 32, ... up to
     8192 lobes of width pi/tau each go to _lobe_block, whose first round
-    gives a smooth lobe one 15-node panel; after each block the tail test
-    below decides whether to go on, and so sets the lobe count.  A smooth
-    continuation with the exact 1/omega^2 envelope covers the rest.
-    Returns (value, error, diag).
+    gives a smooth lobe one 15-node panel, until the remainder bound below
+    stops them at some Omega.  A continuation with the exact 1/omega^2
+    envelope covers the rest.  Returns (value, error, diag).
 
     Cost: W comes from one (4n, 15) table of omega^2 W per call, one FFT
     of the jump train (_LobeFilter; 0.3 ms at CPMG-256), so a first-round
@@ -426,14 +419,21 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
     a segment (N + 1 of them) at large N.  n_eval counts every node
     either way.
 
-    The continuation drops (2 kappa^2/pi) \int_Omega^inf h dG with
-    h = N/omega^2 and G from _jump_sines.  Integrating by parts against
-    G - G(Omega), its size is at most
-        (2 kappa^2/pi) h(Omega) (sup |G| + |G(Omega)|)
-    whenever h does not increase beyond Omega.  That one term stops the
-    lobe blocks (at half the rtol budget) and enters the error, next to
-    the lobe panels' Kronrod estimates, the continuation's own quadrature
-    error and the envelope beyond 1e9 Omega.
+    The continuation is one integral over s = Omega/omega,
+        (kappa^2 sum J^2/pi) \int_Omega^inf N/omega^2 domega
+            = (kappa^2 sum J^2/(pi Omega)) \int_0^1 N(Omega/s) ds.
+    It drops (2 kappa^2/pi) \int_Omega^inf h dG with h = N/omega^2 and G
+    from _jump_sines.  Integrating by parts against G - G(Omega), that
+    remainder is at most
+        R = (2 kappa^2/pi) h(Omega) (sup |G| + |G(Omega)|)
+    whenever h does not increase past Omega.
+
+    The budget splits rtol three ways.  Each lobe block meets rtol/4 of its
+    own value, so, as W N >= 0, the blocks meet rtol/4 of the lobe sum L.
+    The blocks stop once R <= rtol/2 of L.  The continuation C meets
+    rtol/4 of its own value.  The returned error is the sum of the three,
+    at most rtol (L + C), as far as h does not rise past Omega and each
+    |K - G| estimate covers its panel's miss.
     """
     tau, kap = seq.tau, seq.kappa
     if kap == 0.0:
@@ -441,23 +441,17 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
                           "n_panels": 0, "n_eval": 0}
     h = math.pi / tau
     _, jumps = jump_weights(seq)
-    sj2 = float(np.sum(jumps**2))
+    env = kap**2 * float(np.sum(jumps**2)) / math.pi
     lags, coefs, g_sup = _jump_sines(seq)
     lobes = _LobeFilter(seq)
 
-    # W N >= 0, so blocks each within rtol of their own value sum to within
-    # rtol of the total.
     total = err = 0.0
     n_panels = n_eval = 0
     k = 0
     block = 16
     while True:
         k_hi = min(k + block, _MAX_LOBES)
-        # the cap allows 60 * 4096 panels past the block's one a lobe; at
-        # integrate's max(4, n/4) splits a round, 16 (8192 lobes) to 44 (16
-        # lobes) rounds reach it
-        v, e, info = _lobe_block(seq, spectrum, lobes, k, k_hi, rtol=rtol,
-                                 max_panels=(k_hi - k) + 60 * 4096)
+        v, e, info = _lobe_block(seq, spectrum, lobes, k, k_hi, rtol=0.25 * rtol)
         total += v
         err += e
         n_panels += info["n_panels"]
@@ -465,33 +459,26 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
         k = k_hi
         omega_end = k * h
         n_end = float(np.max(spectrum(np.array([omega_end]))))
-        tail_est = kap**2 * sj2 * n_end / (math.pi * omega_end)
         g_end = abs(float(np.sum(coefs * np.sin(omega_end * lags) / lags)))
         resid = 2.0 * kap**2 / math.pi * n_end / omega_end**2 * (g_sup + g_end)
         scale = abs(total)
-        if scale > 0.0 and k >= 32 and \
-                tail_est <= 0.05 * scale and resid <= 0.5 * rtol * scale:
+        if scale > 0.0 and resid <= 0.5 * rtol * scale:
             break
         if k >= _MAX_LOBES:
+            # total holds no continuation, so the error adds its flat-N size
             raise QuadratureError(
                 "filter-weighted integral did not converge within the lobe budget",
-                value=total, error=tail_est)
+                value=total, error=err + resid + env * n_end / omega_end)
         block = min(block * 2, 8192)
 
-    # smooth tail continuation with the exact 1/omega^2 envelope
-    env = kap**2 * sj2 / math.pi
+    def tail_f(s):
+        # a flat spectrum may return a float
+        return np.broadcast_to(spectrum(omega_end / s), s.shape) * (env / omega_end)
 
-    def tail_f(w):
-        return env * spectrum(w) / w**2
-
-    omega_far = omega_end * 1e9
-    tail_val, tail_err, tail_info = integrate(tail_f, omega_end, omega_far, rtol=1e-3,
-                                              edges=log_edges(omega_end, omega_far),
-                                              max_panels=1024)
+    tail_val, tail_err, tail_info = integrate(tail_f, 0.0, 1.0, rtol=0.25 * rtol)
     n_eval += tail_info["n_eval"]
-    beyond = tail_f(np.array([omega_far]))[0] * omega_far  # <= integral of decreasing env
     total += tail_val
-    err += tail_err + beyond + resid
+    err += tail_err + resid
 
     diag = {"path": "omega", "n_lobes": int(k), "omega_max": omega_end,
             "n_panels": int(n_panels), "n_eval": int(n_eval)}
@@ -504,12 +491,15 @@ def phi_squared(tau: float, seq: PulseSequence, model=None, geom: GeometryConfig
     r"""Phase variance <phi^2> of seq rescaled to total time tau.
 
     With an explicit spectrum callable (omega array -> N values), and no
-    model or geometry, this is \int domega/(2pi) W_tau(omega) N(omega) at
-    rtol = tol_omega; tests and closed-form comparisons pass analytic
-    spectra.  Otherwise (model, geom) give the time-domain q-integral of the per-mode kernel Q(r_q; tau) at
-    the tighter of tol_omega and tol_q.  With full_output, returns (value,
-    error_estimate, diagnostics); the diagnostics record the path taken
-    ("time_domain" or "omega"), n_panels and n_eval.
+    model or geometry, this is \int domega/(2pi) W_tau(omega) N(omega);
+    tests and closed-form comparisons pass analytic spectra.  Its error
+    estimate is then at most tol_omega of the value; _filter_weighted
+    states how that budget is shared and what it assumes of N.
+    Otherwise (model, geom) give the time-domain q-integral of the
+    per-mode kernel Q(r_q; tau) at the tighter of tol_omega and tol_q.
+    With full_output, returns (value, error_estimate, diagnostics); the
+    diagnostics record the path taken ("time_domain" or "omega"), n_panels
+    and n_eval.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive and finite")
@@ -560,8 +550,8 @@ def t2_extract(curve: DecoherenceCurve) -> float:
 
     The crossing definition is T1-independent.  Refinement runs the
     curve's live evaluator, at the tolerances the curve recorded, and
-    stops at a tenth of the tighter one, in tau and relative: closer steps
-    would chase the curve's own rounding.
+    stops at a tenth of the rtol it recorded, in tau and relative: closer
+    steps would chase the curve's own rounding.
     """
     ts = np.asarray(curve.taus, dtype=float)
     ys = 2.0 * np.asarray(curve.phi_sq, dtype=float) - 1.0
@@ -594,7 +584,7 @@ def t2_extract(curve: DecoherenceCurve) -> float:
     if fa * fb > 0.0:
         # sampled bracket disagrees with the refined evaluator; fall back
         return float(ts[i] + (ts[i + 1] - ts[i]) * (-ys[i]) / (ys[i + 1] - ys[i]))
-    tol = 0.1 * min(curve.provenance["tol_omega"], curve.provenance["tol_q"])
+    tol = 0.1 * curve.provenance["rtol"]
     return float(brentq(fn, a, b, xtol=tol * b, rtol=max(tol, 4.0 * np.finfo(float).eps)))
 
 
@@ -634,8 +624,7 @@ def filter_weight_integral(seq: PulseSequence):
     omega_end = k_end * h
 
     # W alone, on the same lobe blocks as the omega path
-    val, err, _ = _lobe_block(seq, lambda w: 1.0, _LobeFilter(seq), 0, k_end, rtol=1e-9,
-                              max_panels=k_end + 4096)
+    val, err, _ = _lobe_block(seq, lambda w: 1.0, _LobeFilter(seq), 0, k_end, rtol=1e-9)
 
     _, jumps = jump_weights(seq)
     tail = float(np.sum(jumps**2)) / omega_end

@@ -1,7 +1,7 @@
 """Source hygiene: every module compiles without warnings, keeps to the
 public names of the others, reads no environment variable, and defines no
-top-level function or class that nothing calls; the package re-exports
-each module's public names once."""
+top-level function, class or assigned name that nothing reads; the package
+re-exports each module's public names once."""
 
 import ast
 import importlib
@@ -106,9 +106,17 @@ def test_environment_check_catches_both_spellings():
 
 
 def top_level_definitions(source):
-    """Names of the functions and classes a module defines at top level."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    """Names of the functions, classes and assigned names a module defines
+    at top level; dunder names such as __all__ are the interpreter's."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and not n.id.startswith("__")]
+    return names
 
 
 def references(source):
@@ -130,8 +138,9 @@ def references(source):
 
 
 def unreferenced(modules, others):
-    """module.name for each top-level function or class of modules (stem ->
-    source) that neither modules nor the sources in others reference."""
+    """module.name for each top-level function, class or assigned name of
+    modules (stem -> source) that neither modules nor the sources in others
+    reference."""
     used = set().union(*map(references, [*modules.values(), *others]))
     return [f"{stem}.{name}" for stem, source in modules.items()
             for name in top_level_definitions(source) if name not in used]
@@ -156,6 +165,17 @@ def test_unreferenced_check_ignores_own_body_all_and_reexports():
     caller = "from critspec import mod\nmod.called()\n"
     assert unreferenced({"mod": module, "__init__": init}, [caller]) == \
         ["mod.recursive", "mod.exported"]
+
+
+def test_unreferenced_check_catches_assignments():
+    module = ("__all__ = ['Alias', 'LIMIT']\n"
+              "LIMIT = 4\n"
+              "Alias = int | float\n"
+              "_lo, _hi = 0.0, 1.0\n"
+              "_scale: float = 2.0\n"
+              "def clip(x): return min(max(x, _lo), LIMIT) * _scale\n")
+    caller = "from critspec.mod import clip\nclip(3)\n"
+    assert unreferenced({"mod": module}, [caller]) == ["mod.Alias", "mod._hi"]
 
 
 MODEL_CLASSES = {"ModelA", "ModelB", "DiffusiveO3", "TfimQC"}
