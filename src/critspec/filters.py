@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,19 @@ class PulseSequence:
             n = np.arange(1, self.n_pulses + 1)
             return self.tau * (n - 0.5) / self.n_pulses
         return np.asarray(self.switch_times, dtype=float)
+
+    @cached_property
+    def runs(self) -> tuple:
+        """((segment length/tau, count), ...), one pair per run of equal consecutive segments.
+
+        Built on first use and kept: the OU kernel steps over runs, not
+        segments, and a T2 search calls it again for every tau it tries.
+        """
+        fracs = np.diff(np.concatenate(([0.0], self.switches(), [self.tau])) / self.tau)
+        # a run ends where a segment differs from the one before it by more than rounding
+        starts = [0, *(np.flatnonzero(np.abs(np.diff(fracs)) > 1e-12 * fracs[1:]) + 1).tolist(),
+                  fracs.size]
+        return tuple((float(fracs[i]), j - i) for i, j in zip(starts, starts[1:]))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,17 @@ resonates below them.
 The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
 serves explicit spectrum callables: blocks of lobes (width pi/tau), each
 one Kronrod panel a lobe unless it needs an adaptive quadrature call, and a
-1/omega^2-envelope continuation.  tol_omega is its whole error budget: a
-quarter to the lobe blocks, half to the bound on what the continuation
-drops, which sets the lobe count, and a quarter to the continuation
-(_filter_weighted).
+1/omega^2-envelope continuation past the last lobe Omega.  What the
+continuation drops is, by parts, an exact h(Omega) G(Omega) term, which is
+added, and a rest bounded by
+    R = (2 kappa^2/pi) |h'(Omega)| (sup |H| + |H(Omega)|),
+h = N/omega^2, G and H = sum_{k<l} J_k J_l cos(omega D_kl)/D_kl^2 over the
+sequence's jump pairs (G = -H').  The bound needs h convex and
+non-increasing from half a lobe before Omega on, as it is for positive
+Lorentzian mixtures, the package's model spectra; |h'(Omega)| is taken
+from one more spectrum value per block end.  tol_omega is the whole error
+budget: a quarter to the lobe blocks, half to R, which sets the lobe
+count, and a quarter to the continuation (_filter_weighted).
 """
 
 from __future__ import annotations
@@ -202,15 +209,6 @@ def noise_spectral_density(omega, model, geom: GeometryConfig, *,
     return (out, err) if full_output else out
 
 
-def _runs(seq: PulseSequence) -> list:
-    """[segment length / tau, count] for each run of equal consecutive segments."""
-    fracs = np.diff(np.concatenate(([0.0], seq.switches(), [seq.tau])) / seq.tau)
-    # a run ends where a segment differs from the one before it by more than rounding
-    starts = [0, *(np.flatnonzero(np.abs(np.diff(fracs)) > 1e-12 * fracs[1:]) + 1).tolist(),
-              fracs.size]
-    return [[float(fracs[i]), j - i] for i, j in zip(starts, starts[1:])]
-
-
 # (x - 2 tanh(x/2))/x^2 = x/12 - x^3/120 + ..., taken below x = 0.1 where
 # the direct difference loses digits; the first omitted term is 1e-15 of the
 # sum there
@@ -225,7 +223,8 @@ def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
     (default seq.tau).  rates are mode relaxation rates r >= 0.  Returns
     an array of shape (rates.size, taus.size).
 
-    One pass over runs of equal consecutive segments.  The carried
+    One pass over seq.runs, the runs of equal consecutive segments, which
+    the sequence builds once.  The carried
     amplitude u (earlier segments' weight e^{-r(t - t')}, signed relative
     to the current segment) obeys u <- -e u - a over a segment of length
     l, with e = e^{-r l} and a = (1 - e)/r, and the segment adds
@@ -240,7 +239,7 @@ def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
     out = np.zeros((r.shape[0], t.shape[1]))
     u = np.zeros_like(out)
     c1, c3, c5, c7, c9 = _STEADY_SERIES
-    for frac, k in _runs(seq):
+    for frac, k in seq.runs:
         ell = frac * t
         x = r * ell
         pos = x > 0.0
@@ -297,31 +296,25 @@ def _grid_train(seq: PulseSequence):
 
 
 def _jump_sines(seq: PulseSequence):
-    r"""G(omega) = sum_{k<l} J_k J_l sin(omega D_kl)/D_kl and a bound on |G|.
+    r"""Lags and coefficients of the jump pairs: G(omega) = sum coefs sin(omega lags)/lags.
 
-    D_kl = u_l - u_k over the jumps of jump_weights.  G' is half the
-    oscillating part of omega^2 W/kappa^2 = |sum_k J_k e^{-i omega u_k}|^2,
-    the part the 1/omega^2 tail continuation drops.  Returns (lags, coefs,
-    g_sup) with G = sum coefs sin(omega lags)/lags and |G| <= g_sup.
-
-    Ramsey and CPMG jump on the grid of _grid_train, so equal lags are
-    merged by an autocorrelation and G is periodic; g_sup is the maximum
-    of |G| sampled at 16 points a lobe of width pi/tau.  A custom sequence
-    keeps every pair and takes g_sup = sum |coefs|/lags.
+    G = sum_{k<l} J_k J_l sin(omega D_kl)/D_kl over the jumps of
+    jump_weights, D_kl = u_l - u_k.  G' is half the oscillating part of
+    omega^2 W/kappa^2 = |sum_k J_k e^{-i omega u_k}|^2, the part the
+    1/omega^2 tail continuation drops, and G = -H' with
+    H = sum coefs cos(omega lags)/lags^2.  Ramsey and CPMG jump on the grid
+    of _grid_train, so equal lags are merged by an autocorrelation; a
+    custom sequence keeps every pair.  Returns (lags, coefs).
     """
     if seq.kind == "custom":
         times, jumps = jump_weights(seq)
         ii, jj = np.triu_indices(times.size, k=1)
-        lags, coefs = times[jj] - times[ii], jumps[ii] * jumps[jj]
-        return lags, coefs, float(np.sum(np.abs(coefs) / lags))
+        return times[jj] - times[ii], jumps[ii] * jumps[jj]
     step, train = _grid_train(seq)
     n_grid = train.size - 1
     power = np.abs(np.fft.rfft(train, 2 * n_grid + 2)) ** 2
     coefs = np.rint(np.fft.irfft(power, 2 * n_grid + 2)[1:n_grid + 1])
-    lags = step * np.arange(1, n_grid + 1)
-    padded = np.zeros(32 * n_grid)
-    padded[1:n_grid + 1] = coefs / lags
-    return lags, coefs, float(np.max(np.abs(np.fft.rfft(padded).imag)))
+    return step * np.arange(1, n_grid + 1), coefs
 
 
 class _LobeFilter:
@@ -423,26 +416,37 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
         (kappa^2 sum J^2/pi) \int_Omega^inf N/omega^2 domega
             = (kappa^2 sum J^2/(pi Omega)) \int_0^1 N(Omega/s) ds.
     It drops (2 kappa^2/pi) \int_Omega^inf h dG with h = N/omega^2 and G
-    from _jump_sines.  Integrating by parts against G - G(Omega), that
-    remainder is at most
-        R = (2 kappa^2/pi) h(Omega) (sup |G| + |G(Omega)|)
-    whenever h does not increase past Omega.
+    from _jump_sines.  By parts that is
+        -(2 kappa^2/pi) [h(Omega) G(Omega) + \int_Omega^inf h' G domega];
+    the first term is added exactly.  With G = -H' and h convex and
+    non-increasing past Omega - pi/(2 tau), -h' is non-negative and
+    non-increasing there, so by the second mean-value theorem the rest is
+    at most
+        R = (2 kappa^2/pi) |h'(Omega)| (sup |H| + |H(Omega)|),
+    with sup |H| <= sum |coefs|/lags^2 and |h'(Omega)| at most the secant
+    slope of h over [Omega - pi/(2 tau), Omega], which costs one more
+    spectrum value per block end.  Where that secant is negative, h
+    rises and the blocks go on.  Positive Lorentzian mixtures, the
+    package's model spectra among them, and flat spectra give a convex h.
 
     The budget splits rtol three ways.  Each lobe block meets rtol/4 of its
     own value, so, as W N >= 0, the blocks meet rtol/4 of the lobe sum L.
     The blocks stop once R <= rtol/2 of L.  The continuation C meets
     rtol/4 of its own value.  The returned error is the sum of the three,
-    at most rtol (L + C), as far as h does not rise past Omega and each
-    |K - G| estimate covers its panel's miss.
+    at most rtol (L + C), as far as h is convex and non-increasing past
+    Omega - pi/(2 tau) and each |K - G| estimate covers its panel's miss.
     """
     tau, kap = seq.tau, seq.kappa
     if kap == 0.0:
         return 0.0, 0.0, {"path": "omega", "n_lobes": 0, "omega_max": 0.0,
                           "n_panels": 0, "n_eval": 0}
-    h = math.pi / tau
+    width = math.pi / tau
     _, jumps = jump_weights(seq)
     env = kap**2 * float(np.sum(jumps**2)) / math.pi
-    lags, coefs, g_sup = _jump_sines(seq)
+    lags, coefs = _jump_sines(seq)
+    # G = sum sines sin(omega lags), H = sum cosines cos(omega lags), |H| <= cos_sup
+    sines, cosines = coefs / lags, coefs / lags**2
+    cos_sup = float(np.sum(np.abs(cosines)))
     lobes = _LobeFilter(seq)
 
     total = err = 0.0
@@ -457,27 +461,32 @@ def _filter_weighted(seq: PulseSequence, spectrum, *, rtol: float):
         n_panels += info["n_panels"]
         n_eval += info["n_eval"]
         k = k_hi
-        omega_end = k * h
-        n_end = float(np.max(spectrum(np.array([omega_end]))))
-        g_end = abs(float(np.sum(coefs * np.sin(omega_end * lags) / lags)))
-        resid = 2.0 * kap**2 / math.pi * n_end / omega_end**2 * (g_sup + g_end)
+        omega_end = k * width
+        ends = np.array([omega_end - 0.5 * width, omega_end])
+        # a flat spectrum may return a float
+        h_mid, h_end = np.broadcast_to(spectrum(ends), ends.shape) / ends**2
+        phase = omega_end * lags
+        edge = -2.0 * kap**2 / math.pi * h_end * float(np.sum(sines * np.sin(phase)))
+        slope = (h_mid - h_end) / (0.5 * width)
+        resid = (2.0 * kap**2 / math.pi * slope
+                 * (cos_sup + abs(float(np.sum(cosines * np.cos(phase))))))
         scale = abs(total)
-        if scale > 0.0 and resid <= 0.5 * rtol * scale:
+        if scale > 0.0 and 0.0 <= resid <= 0.5 * rtol * scale:
             break
         if k >= _MAX_LOBES:
             # total holds no continuation, so the error adds its flat-N size
             raise QuadratureError(
                 "filter-weighted integral did not converge within the lobe budget",
-                value=total, error=err + resid + env * n_end / omega_end)
+                value=total,
+                error=err + abs(resid) + abs(edge) + env * h_end * omega_end)
         block = min(block * 2, 8192)
 
     def tail_f(s):
-        # a flat spectrum may return a float
         return np.broadcast_to(spectrum(omega_end / s), s.shape) * (env / omega_end)
 
     tail_val, tail_err, tail_info = integrate(tail_f, 0.0, 1.0, rtol=0.25 * rtol)
     n_eval += tail_info["n_eval"]
-    total += tail_val
+    total += tail_val + edge
     err += tail_err + resid
 
     diag = {"path": "omega", "n_lobes": int(k), "omega_max": omega_end,
@@ -628,7 +637,7 @@ def filter_weight_integral(seq: PulseSequence):
 
     _, jumps = jump_weights(seq)
     tail = float(np.sum(jumps**2)) / omega_end
-    lags, coefs, _ = _jump_sines(seq)
+    lags, coefs = _jump_sines(seq)
     si, _ = sici(omega_end * lags)
     pair = 2.0 * coefs * (np.cos(omega_end * lags) / omega_end - lags * (0.5 * math.pi - si))
     tail += float(pair.sum())

@@ -345,6 +345,50 @@ def test_omega_path_error_bounds_the_miss_for_custom_sequences():
                 assert abs(val - exact) <= tol * exact
 
 
+@pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-8", "cpmg-64", "cpmg-256", "udd-8"])
+def test_omega_path_error_covers_a_lorentzian_sweep(name):
+    # one OU line at w0 from 0.01 to 100 times pi n_seg/tau; past the last
+    # lobe the returned error bounds what the h G(Omega) term leaves, so it
+    # must cover the miss, which must also be inside the requested tolerance.
+    # udd-8 is Uhrig's eight-pulse sequence, whose switches share no grid.
+    if name == "udd-8":
+        seq = PulseSequence.custom(1.3 * np.sin(math.pi * np.arange(1, 9) / 18.0) ** 2, 1.3)
+    else:
+        seq = make_sequence(name, 1.3)[0]
+    omega_p = math.pi * (seq.switches().size + 1) / seq.tau
+    for tol in (1e-6, 1e-9):
+        for w0 in omega_p * np.geomspace(0.01, 100.0, 17):
+            exact = 0.5 * ou_phase_kernel([w0], seq)[0, 0]
+            val, err, _ = phi_squared(seq.tau, seq, tol_omega=tol, full_output=True,
+                                      spectrum=lambda w: w0 / (w0 * w0 + w * w))
+            label = f"{name} tol={tol:g} w0={w0:.6g}"
+            assert abs(val - exact) <= err, label
+            assert abs(val - exact) <= tol * exact, label
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_white_noise_meets_a_tight_tolerance_at_large_n(n):
+    # for flat N, h = N/omega^2 falls as 1/omega^2 but its slope as
+    # 1/omega^3, so the remainder bound lets CPMG-16 to -64 stop well
+    # inside the lobe budget at 1e-9
+    exact = 0.7 * 1.3
+    val, err, _ = phi_squared(1.3, PulseSequence.cpmg(n, 1.3), spectrum=lambda w: 0.7,
+                              tol_omega=1e-9, full_output=True)
+    assert abs(val - exact) <= err
+    assert abs(val - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize("seq, tol, spectrum, ceiling", [
+    (PulseSequence.cpmg(256, 1.0), 1e-9, lambda w: 1200.0 / (1200.0**2 + w * w), 24560),
+    (PulseSequence.cpmg(16, 1.3), 1e-6, lambda w: 0.7, 2032),
+], ids=["lorentzian-cpmg-256", "flat-cpmg-16"])
+def test_omega_path_lobe_count_ceilings(seq, tol, spectrum, ceiling):
+    # work guards that read the same on any host, set at the lobe counts
+    # where the h'-remainder bound stops the blocks on these inputs
+    _, _, diag = phi_squared(seq.tau, seq, spectrum=spectrum, tol_omega=tol, full_output=True)
+    assert diag["n_lobes"] <= ceiling
+
+
 def test_flat_spectrum_sequence_independence():
     level, tau = 0.7, 2.0
     vals = []
