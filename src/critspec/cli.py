@@ -63,11 +63,9 @@ _SPAN_SCHEMA = {"type": "array", "minItems": 3, "maxItems": 3,
 
 _AXIS_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {"required": ["values"]},
-        {"required": ["range"]},
-        {"required": ["log_range"]},
-    ],
+    # exactly one of the three properties below
+    "minProperties": 1,
+    "maxProperties": 1,
     "properties": {
         "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "range": _SPAN_SCHEMA,
@@ -351,16 +349,15 @@ def cmd_decohere(cfg: dict, out: str, seed=None) -> int:
     if math.isfinite(qubit.t1):
         columns.append("coherence_t1")
         cols.append(coherence(curve.taus, qubit, curve.phi_sq))
-    crossing = 2.0 * curve.phi_sq >= 1.0
     flag = np.zeros(curve.taus.size, dtype=int)
     header = _provenance_lines("decohere", cfg, seed)
-    if crossing.any() and not crossing.all():
-        flag[int(np.argmax(crossing))] = 1
-        try:
-            t2 = t2_extract(curve)
-            header.insert(0, f"# t2_estimate: {_fmt(t2)}")
-        except (NoCrossingError, ValueError):
-            pass
+    try:
+        t2 = t2_extract(curve)
+    except NoCrossingError:
+        t2 = None  # the curve stays on one side of 2 <phi^2> = 1
+    if t2 is not None:
+        flag[int(np.argmax(2.0 * curve.phi_sq >= 1.0))] = 1
+        header.insert(0, f"# t2_estimate: {_fmt(t2)}")
     columns.append("t2_crossing")
     cols.append(flag)
     rows = list(zip(*[np.asarray(c, dtype=float) for c in cols]))

@@ -557,8 +557,10 @@ def coherence(tau, qubit: QubitParams, phi_sq):
 def t2_extract(curve: DecoherenceCurve) -> float:
     """Root of 2 <phi^2>(tau) = 1 by bracketing plus continuous refinement.
 
-    The crossing definition is T1-independent.  Refinement runs the
-    curve's live evaluator, at the tolerances the curve recorded, and
+    The crossing definition is T1-independent.  The bracket ends are the
+    curve's own samples around its first crossing, so they are not
+    integrated again.  Refinement runs the curve's live evaluator at taus
+    inside the bracket only, at the tolerances the curve recorded, and
     stops at a tenth of the rtol it recorded, in tau and relative: closer
     steps would chase the curve's own rounding.
     """
@@ -577,22 +579,15 @@ def t2_extract(curve: DecoherenceCurve) -> float:
     i = int(crossings[0])
     a, b = float(ts[i]), float(ts[i + 1])
 
-    # brentq evaluates both bracket ends again; they are q-integrals
-    seen = {}
+    # the crossing index puts these two samples on opposite sides of 1,
+    # which is all brentq asks of a bracket
+    seen = {a: float(ys[i]), b: float(ys[i + 1])}
 
     def fn(t):
         if t not in seen:
             seen[t] = 2.0 * curve.evaluate(t) - 1.0
         return seen[t]
 
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        # sampled bracket disagrees with the refined evaluator; fall back
-        return float(ts[i] + (ts[i + 1] - ts[i]) * (-ys[i]) / (ys[i + 1] - ys[i]))
     tol = 0.1 * curve.provenance["rtol"]
     return float(brentq(fn, a, b, xtol=tol * b, rtol=max(tol, 4.0 * np.finfo(float).eps)))
 

@@ -177,11 +177,10 @@ def monte_carlo_phi_squared(traces, seq: PulseSequence):
         if dt > tau / (20.0 * n_pulses) * (1.0 + 1e-12):
             raise ValueError("dt too coarse to resolve the pulse sequence: "
                              f"need dt <= tau/{20 * n_pulses}")
-        sgn = np.ones(n_used)
         flip = _switch_indices(seq, dt, n_used, tau)
-        for j, ix in enumerate(flip):
-            sgn[ix:] = 1.0 if j % 2 else -1.0
-            sgn[ix] = 0.0
+        # (-1)^(flips before each sample), and 0 on the flips themselves
+        sgn = (-1.0) ** np.searchsorted(flip, np.arange(n_used))
+        sgn[flip] = 0.0
         w = np.full(n_used, dt)
         w[0] = w[-1] = 0.5 * dt
         phis[t_i] = seq.kappa * np.sum(w * sgn * tr.samples[:n_used])

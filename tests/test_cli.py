@@ -356,6 +356,32 @@ class TestDecohere:
         assert data[np.argmax(data[:, 4]), 1] >= 0.5
         assert any(l.startswith("# t2_estimate:") for l in open(out))
 
+    def test_t2_estimate_lies_between_the_flagged_row_and_the_one_before(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "model": {"kind": "model_a", "xi": None, "T": 1.0},
+            "geometry": {"d": 1.0},
+            "taus": {"log_range": [0.05, 50.0, 9]}})
+        out = str(tmp_path / "dec.csv")
+        assert main(["decohere", "--config", cfg, "--out", out]) == 0
+        cols, data = load_rows(out)
+        j = int(np.argmax(data[:, cols.index("t2_crossing")]))
+        t2 = [float(l.split(":", 1)[1]) for l in open(out) if l.startswith("# t2_estimate:")]
+        assert j >= 1 and len(t2) == 1
+        assert data[j - 1, 0] <= t2[0] <= data[j, 0]
+
+    def test_curve_below_the_crossing_writes_no_t2(self, tmp_path):
+        # 2 <phi^2> stays below 0.07 over these taus
+        cfg = write_cfg(tmp_path, {
+            "model": {"kind": "model_a", "xi": 1.0, "T": 1.0},
+            "geometry": {"d": 0.5},
+            "taus": {"log_range": [0.1, 1.0, 8]}})
+        out = str(tmp_path / "below.csv")
+        assert main(["decohere", "--config", cfg, "--out", out]) == 0
+        cols, data = load_rows(out)
+        assert np.all(2.0 * data[:, cols.index("phi_sq")] < 1.0)
+        assert np.all(data[:, cols.index("t2_crossing")] == 0.0)
+        assert not any(l.startswith("# t2_estimate") for l in open(out))
+
     def test_t1_overlay_column_when_finite(self, tmp_path):
         base = {"model": A_FAR_BLOCK, "geometry": {"d": 1.0},
                 "taus": {"values": [0.1, 1.0]}}

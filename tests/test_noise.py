@@ -584,7 +584,7 @@ def test_halving_tolerances_stays_within_error():
 
 
 def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
-    # the bracket ends are evaluated before brentq, which asks for them again
+    # the refinement integrates no tau twice
     m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
     curve = decoherence_curve(np.geomspace(1.0, 100.0, 6), PulseSequence.ramsey(1.0), m,
                               GeometryConfig(d=0.5))
@@ -593,6 +593,20 @@ def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
     monkeypatch.setattr(curve, "evaluate", lambda t: asked.append(t) or live(t))
     t2 = t2_extract(curve)
     assert len(asked) == len(set(asked)) >= 3
+    assert 2.0 * live(t2) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_t2_bracket_ends_are_the_curve_samples(monkeypatch):
+    # the crossing's bracket comes from the curve's own samples, so no
+    # sampled tau is integrated again
+    m = ModelA(gamma0=1.0, J=1.0, xi=1.0, T=1.0)
+    curve = decoherence_curve(np.geomspace(1.0, 100.0, 6), PulseSequence.ramsey(1.0), m,
+                              GeometryConfig(d=0.5))
+    asked = []
+    live = curve.evaluate
+    monkeypatch.setattr(curve, "evaluate", lambda t: asked.append(t) or live(t))
+    t2 = t2_extract(curve)
+    assert asked and not set(asked) & set(curve.taus.tolist())
     assert 2.0 * live(t2) == pytest.approx(1.0, rel=1e-9)
 
 

@@ -137,6 +137,23 @@ class TestMonteCarlo:
                                           PulseSequence.cpmg(2, 2.0, kappa=0.5))
         assert mean == 0.0
 
+    @pytest.mark.parametrize("seq", [PulseSequence.ramsey(2.0), PulseSequence.hahn(2.0),
+                                     PulseSequence.cpmg(8, 2.0), PulseSequence.cpmg(64, 2.0),
+                                     PulseSequence.custom([0.25, 0.5, 1.75], 2.0)],
+                             ids=lambda s: f"{s.kind}-{s.switches().size}")
+    def test_toggling_sign_matches_a_flip_by_flip_loop(self, seq):
+        # the sign takes only the values 0 and +-1, so phi must agree bit for bit
+        dt = 2.0 / 1280.0
+        tr = FieldTrace(dt=dt, samples=np.random.default_rng(5).normal(size=1281), seed=0)
+        sgn = np.ones(1281)
+        for j, ix in enumerate(np.rint(seq.switches() / dt).astype(int)):
+            sgn[ix:] = 1.0 if j % 2 else -1.0
+            sgn[ix] = 0.0
+        w = np.full(1281, dt)
+        w[0] = w[-1] = 0.5 * dt
+        mean, _ = monte_carlo_phi_squared([tr], seq)
+        assert mean == (seq.kappa * np.sum(w * sgn * tr.samples)) ** 2
+
     def test_no_traces_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             monte_carlo_phi_squared([], PulseSequence.ramsey(1.0))

@@ -252,3 +252,26 @@ def test_tight_approx_check_catches_both_spellings():
            "d = pytest.approx(4.0, rel=1e-9)\n"
            "e = pytest.approx(5.0, rel=tol)\n")
     assert tight_approx_without_abs(src) == [1, 2]
+
+
+def silent_handlers(source):
+    """Lines of the exception handlers whose whole body is a bare pass.
+    Such a handler hides every failure it catches, where the failure should
+    reach the CLI's exit-code mapping or be handled in the open."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler)
+            and len(node.body) == 1 and isinstance(node.body[0], ast.Pass)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_exception_handler_is_a_bare_pass(path):
+    assert silent_handlers(path.read_text()) == []
+
+
+def test_silent_handler_check_catches_a_bare_pass_only():
+    src = ("try:\n    f()\nexcept ValueError:\n    pass\n"
+           "try:\n    g()\nexcept (KeyError, OSError) as e:\n    pass\n"
+           "try:\n    h()\nexcept ValueError:\n    x = None\n"
+           "try:\n    k()\nexcept OSError:\n    pass\n    raise\n"
+           "def m():\n    try:\n        n()\n    except ZeroDivisionError:\n        pass\n")
+    assert silent_handlers(src) == [3, 7, 21]
