@@ -1,4 +1,4 @@
-"""Closed-form asymptotic regimes and non-Gaussian scaling exponents.
+"""Closed-form asymptotic regimes and phase-variance cells.
 
 Every value here is exponent-accurate with unit prefactor: comparisons
 against the numeric engine are slope fits or ratio-constancy checks, never
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +20,11 @@ from .models import (DiffusiveO3, ModelA, ModelB, O3Regime, TfimQC,
 
 __all__ = [
     "RegimeLabel",
-    "NonGaussianOrder",
-    "ScalingExponents",
     "omega0_for",
     "classify_regime",
     "heuristic_phi_squared",
     "table1_classical",
     "table1_quantum",
-    "cpmg_regimes",
-    "nongaussian_exponents",
 ]
 
 STATIC = "static"
@@ -61,39 +56,6 @@ class RegimeLabel:
             raise ValueError("omega0*tau margin must be finite and positive")
         if not (self.d_over_xi >= 0.0):
             raise ValueError("d/xi margin must be non-negative")
-
-
-@dataclass(frozen=True)
-class NonGaussianOrder:
-    """Cumulant order k with the critical exponents that set its scaling.
-
-    delta_bar = (z + eta)/2 is the field scaling dimension and D = 2 + z
-    the effective spacetime dimension of the 2D sample.
-    """
-
-    k: int
-    z: float = 1.0
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 2):
-            raise ValueError("cumulant order k must be an integer >= 2")
-        if not (self.z > 0.0 and math.isfinite(self.z) and math.isfinite(self.eta)):
-            raise ValueError("z must be positive and eta finite")
-
-    @property
-    def delta_bar(self) -> float:
-        return 0.5 * (self.z + self.eta)
-
-    @property
-    def D(self) -> float:
-        return 2.0 + self.z
-
-
-class ScalingExponents(NamedTuple):
-    d_power: float
-    T_power: float
-    farfield_power: float
 
 
 def omega0_for(model, geom: GeometryConfig) -> float:
@@ -203,29 +165,3 @@ def table1_quantum(model, T: float, tau: float, d: float, delta: float = 0.0) ->
     if isinstance(model, DiffusiveO3):
         return T * tau * model.chi_u / (d**2 * model.D_s)
     raise TypeError("table1_quantum covers the O(3) and transverse-field models only")
-
-
-def cpmg_regimes(omega0, omega_p, tau, d, xi) -> float:
-    """Periodic-echo asymptote: the dynamic heuristic with low-frequency
-    suppression min(1, (pi omega0/(2 omega_p))^2) when pulses outrun the noise."""
-    vals = list(map(float, (omega0, omega_p, tau, d, xi)))
-    if min(vals) <= 0.0:
-        raise ValueError("all inputs must be positive")
-    omega0, omega_p, tau, d, xi = vals
-    base = tau / (omega0 * d**2) * min(1.0, xi**2 / d**2)
-    x = 0.5 * math.pi * omega0 / omega_p
-    return base * min(1.0, x * x)
-
-
-def nongaussian_exponents(order: NonGaussianOrder) -> ScalingExponents:
-    """Scaling powers of the k-th cumulant's phase contribution.
-
-    Near-field decay exponent in distance is 1 + k*delta_bar; the
-    finite-temperature prefactor carries T^{k(2+eta-z)/(2z)}; in the far
-    field the contribution is suppressed as d^{-(3k-2)}.
-    """
-    k = order.k
-    d_power = 1.0 + k * order.delta_bar
-    t_power = k * (2.0 + order.eta - order.z) / (2.0 * order.z)
-    return ScalingExponents(d_power=d_power, T_power=t_power,
-                            farfield_power=3.0 * k - 2.0)

@@ -8,12 +8,19 @@ closed-form time kernel, the filter-function result in the time domain:
     Q(r; tau)    = \int_0^tau \int_0^tau f(t) f(t') e^{-r|t-t'|} dt dt'.
 
 ou_phase_kernel evaluates Q in closed form, one step per run of equal
-segments of the pulse sequence.  The oracle's lattice mode sums use the same
+segments of the pulse sequence, with its exp, expm1 and tanh taken once per
+distinct segment length.  The oracle's lattice mode sums use the same
 kernel.  N(omega) is the same q-integral with the kernel 2 r/(r^2 + omega^2).
 _q_integral alone splits the q-axis for both: every tau or omega is one
 component of an adaptive quadrature call, 16 per call, on the momentum
 filter's panel edges plus a low-q ladder where the call's slowest mode
 resonates below them.
+
+T2 is the first root of 2 <phi^2>(tau) = 1 on a DecoherenceCurve.
+t2_extract brackets it between two of the curve's samples and narrows the
+bracket by batched steps, each one q-integral over up to nine taus: the
+bracket's midpoint in ln tau and a ladder around a cubic prediction.  A
+smooth curve takes two steps.
 
 The frequency-domain route <phi^2> = \int domega/(2pi) W_tau(omega) N(omega)
 serves explicit spectrum callables: blocks of lobes (width pi/tau), each
@@ -37,7 +44,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import sici
 
 from .filters import (GeometryConfig, PulseSequence, filter_function,
@@ -88,11 +94,21 @@ class DecoherenceCurve:
     geom: GeometryConfig
     provenance: dict
 
-    def evaluate(self, tau: float) -> float:
-        """Continuous <phi^2>(tau) at the curve's recorded tolerances."""
-        return phi_squared(tau, self.seq, self.model, self.geom,
-                           tol_omega=self.provenance["tol_omega"],
-                           tol_q=self.provenance["tol_q"])
+    def evaluate(self, tau):
+        """Continuous <phi^2> at tau, a scalar or an array, at the curve's
+        recorded tolerances.
+
+        One _time_domain call for all of tau, so up to 16 taus are one
+        q-integral; a scalar gives a float.
+        """
+        ts = np.atleast_1d(np.asarray(tau, dtype=float))
+        if not np.all(np.isfinite(ts) & (ts > 0.0)):
+            raise ValueError("tau must be positive and finite")
+        vals, _, _ = _time_domain(ts, self.seq, self.model, self.geom,
+                                  tol_omega=self.provenance["tol_omega"],
+                                  tol_q=self.provenance["tol_q"])
+        vals = np.maximum(vals, 0.0)
+        return float(vals[0]) if np.ndim(tau) == 0 else vals
 
 
 class NoCrossingError(ValueError):
@@ -223,8 +239,8 @@ def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
     (default seq.tau).  rates are mode relaxation rates r >= 0.  Returns
     an array of shape (rates.size, taus.size).
 
-    One pass over seq.runs, the runs of equal consecutive segments, which
-    the sequence builds once.  The carried
+    One step per run of seq.runs, the runs of equal consecutive segments,
+    which the sequence builds once.  The carried
     amplitude u (earlier segments' weight e^{-r(t - t')}, signed relative
     to the current segment) obeys u <- -e u - a over a segment of length
     l, with e = e^{-r l} and a = (1 - e)/r, and the segment adds
@@ -233,31 +249,43 @@ def ou_phase_kernel(rates, seq: PulseSequence, taus=None) -> np.ndarray:
         k (2/r^2)(r l - 2 tanh(r l/2)) + 2 a (u - u*) (1 - (-e)^k)/(1 + e)
     and leaves u = u* + (-e)^k (u - u*).  The cost is O(runs) per mode:
     one run for Ramsey, three for CPMG-N.
+
+    Everything that depends on l alone (r l, a, tanh, u*, the steady term
+    and e) is taken once per distinct segment length, as one stacked
+    (lengths, rates, taus) array: CPMG-N has two lengths, its half
+    segments sharing one.  The run loop then only steps u, plus e^{-k r l}
+    for runs of k > 1 segments.
     """
     r = np.asarray(rates, dtype=float).reshape(-1, 1)
     t = np.asarray(seq.tau if taus is None else taus, dtype=float).reshape(1, -1)
-    out = np.zeros((r.shape[0], t.shape[1]))
-    u = np.zeros_like(out)
+    which = {}  # row of the stacked arrays for each distinct segment length
+    for frac, _ in seq.runs:
+        which.setdefault(frac, len(which))
+    ell = np.array(list(which)).reshape(-1, 1, 1) * t
+    x = r * ell
+    pos = x > 0.0
+    xs = np.where(pos, x, 1.0)
+    a2 = 2.0 * (ell * np.where(pos, -np.expm1(-x) / xs, 1.0))
+    th = np.tanh(0.5 * x)
+    w = ell * np.where(pos, th / xs, 0.5)  # u* = -w
     c1, c3, c5, c7, c9 = _STEADY_SERIES
+    x2 = x * x
+    series = x * (c1 + x2 * (c3 + x2 * (c5 + x2 * (c7 + x2 * c9))))
+    steady = 2.0 * ell**2 * np.where(x < 0.1, series, (x - 2.0 * th) / xs**2)
+    ex = np.exp(-x)
+    ex1 = 1.0 + ex
+    out = np.zeros((r.shape[0], t.shape[1]))
+    u = 0.0
     for frac, k in seq.runs:
-        ell = frac * t
-        x = r * ell
-        pos = x > 0.0
-        xs = np.where(pos, x, 1.0)
-        a = ell * np.where(pos, -np.expm1(-x) / xs, 1.0)
-        th = np.tanh(0.5 * x)
-        w = ell * np.where(pos, th / xs, 0.5)  # u* = -w
-        x2 = x * x
-        series = x * (c1 + x2 * (c3 + x2 * (c5 + x2 * (c7 + x2 * c9))))
-        steady = 2.0 * ell**2 * np.where(x < 0.1, series, (x - 2.0 * th) / xs**2)
-        ekx = np.exp(-k * x)
+        i = which[frac]
+        ekx = ex[i] if k == 1 else np.exp(-k * x[i])
         if k % 2:
             g, power = 1.0 + ekx, -ekx
         else:
-            g, power = -np.expm1(-k * x), ekx
-        delta = u + w
-        out += k * steady + 2.0 * a * delta * g / (1.0 + np.exp(-x))
-        u = power * delta - w
+            g, power = -np.expm1(-k * x[i]), ekx
+        delta = u + w[i]
+        out += k * steady[i] + a2[i] * delta * g / ex1[i]
+        u = power * delta - w[i]
     return out
 
 
@@ -554,18 +582,102 @@ def coherence(tau, qubit: QubitParams, phi_sq):
     return out
 
 
+# offsets of the trial taus around the predicted root, in units of the
+# stop tolerance: the inner pair closes the bracket when the prediction is
+# that good, the outer ones keep a coarser prediction's bracket small
+_T2_LADDER = (0.4, 30.0, 1e3, 3e4)
+
+
+def _cubic_zero(xs, ys, lo: float, hi: float, xtol: float) -> float:
+    """Zero in [lo, hi], to xtol, of the cubic through the four points
+    (xs, ys), which takes values of opposite sign at lo and hi: Newton
+    from the secant, bisecting where a step leaves the shrinking bracket.
+    A tighter xtol would chase the rounding of the cubic's values, which
+    is large next to its slope when the points are close together."""
+    c = list(ys)
+    for j in (1, 2, 3):  # Newton's divided differences
+        for m in range(3, j - 1, -1):
+            c[m] = (c[m] - c[m - 1]) / (xs[m] - xs[m - j])
+
+    def cubic(x):  # value and slope
+        val, der = c[3], 0.0
+        for m in (2, 1, 0):
+            der = der * (x - xs[m]) + val
+            val = val * (x - xs[m]) + c[m]
+        return val, der
+
+    f_lo, f_hi = cubic(lo)[0], cubic(hi)[0]
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(100):
+        val, der = cubic(x)
+        if val == 0.0:
+            return x
+        if (val < 0.0) == (f_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        nxt = x - val / der if der != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= xtol:
+            return nxt
+        x = nxt
+    return x
+
+
+def _t2_predict(ts, vs, k: int, xtol: float) -> float:
+    """Predicted ln tau of 2 <phi^2> = 1 in the bracket ts[k], ts[k + 1].
+
+    vs holds 2 <phi^2> at ts.  The zero, to xtol in ln tau, of the cubic
+    through the four known points nearest the bracket in
+    (ln tau, ln 2<phi^2>): of the windows of four consecutive points
+    around it, the narrowest in tau whose phi^2 are all positive.  With no
+    such window, the bracket's secant (_t2_secant).
+    """
+    windows = [j for j in (k - 1, k - 2, k)
+               if j >= 0 and j + 4 <= len(ts) and min(vs[j:j + 4]) > 0.0]
+    if not windows:
+        return _t2_secant(ts, vs, k)
+    j = min(windows, key=lambda j: ts[j + 3] / ts[j])
+    return _cubic_zero([math.log(t) for t in ts[j:j + 4]], [math.log(v) for v in vs[j:j + 4]],
+                       math.log(ts[k]), math.log(ts[k + 1]), xtol)
+
+
+def _t2_secant(ts, vs, k: int) -> float:
+    """ln tau where the secant of the bracket ts[k], ts[k + 1] crosses 1:
+    in (ln tau, ln 2<phi^2>), or in (ln tau, 2<phi^2>) where an end has
+    phi^2 = 0.  vs holds 2 <phi^2> at ts."""
+    xa, xb = math.log(ts[k]), math.log(ts[k + 1])
+    fa, fb = vs[k] - 1.0, vs[k + 1] - 1.0
+    if vs[k] > 0.0 and vs[k + 1] > 0.0:
+        fa, fb = math.log(vs[k]), math.log(vs[k + 1])
+    return xa - fa * (xb - xa) / (fb - fa)
+
+
 def t2_extract(curve: DecoherenceCurve) -> float:
     """Root of 2 <phi^2>(tau) = 1 by bracketing plus continuous refinement.
 
     The crossing definition is T1-independent.  The bracket ends are the
     curve's own samples around its first crossing, so they are not
-    integrated again.  Refinement runs the curve's live evaluator at taus
-    inside the bracket only, at the tolerances the curve recorded, and
-    stops at a tenth of the rtol it recorded, in tau and relative: closer
-    steps would chase the curve's own rounding.
+    integrated again.  Each refinement step is one curve.evaluate call, so
+    one q-integral, over a sorted batch of taus strictly inside the
+    bracket, at the tolerances the curve recorded:
+      - the bracket's midpoint in ln tau, so every step at least halves
+        the bracket in ln tau;
+      - the ladder r (1 +- f tol), f in _T2_LADDER, where r is the zero of
+        the cubic through the four known points nearest the bracket in
+        (ln tau, ln 2<phi^2>), or the bracket ends' secant (_t2_predict).
+    The new bracket is the first adjacent pair of evaluated points that
+    straddles 1.  The search stops once the bracket is within tol, a tenth
+    of the rtol the curve recorded, in tau and relative: closer steps would
+    chase the curve's own rounding.  It returns the secant root of the last
+    bracket (_t2_secant), or an end where 2 <phi^2> is exactly 1.  A
+    smooth curve takes one or two steps; any curve takes at most
+    ceil(log2(ln(b/a)/log1p(tol))) + 1 on a bracket [a, b].
     """
     ts = np.asarray(curve.taus, dtype=float)
-    ys = 2.0 * np.asarray(curve.phi_sq, dtype=float) - 1.0
+    vs = 2.0 * np.asarray(curve.phi_sq, dtype=float)
+    ys = vs - 1.0
     if ts.size < 2:
         raise NoCrossingError("need at least two samples", bracket=(ts, ys + 1.0))
     sign = np.sign(ys)
@@ -576,20 +688,31 @@ def t2_extract(curve: DecoherenceCurve) -> float:
         raise NoCrossingError(
             f"2<phi^2> spans [{ys[0] + 1.0:.6g}, {ys[-1] + 1.0:.6g}] and never crosses 1",
             bracket=(float(ys[0] + 1.0), float(ys[-1] + 1.0)))
-    i = int(crossings[0])
-    a, b = float(ts[i]), float(ts[i + 1])
+    k = int(crossings[0])
+    tol = max(0.1 * curve.provenance["rtol"], 4.0 * np.finfo(float).eps)
 
-    # the crossing index puts these two samples on opposite sides of 1,
-    # which is all brentq asks of a bracket
-    seen = {a: float(ys[i]), b: float(ys[i + 1])}
+    # every tau known so far, sorted, with its 2 <phi^2>; the bracket is
+    # known[k], known[k + 1]
+    known_t, known_v = ts.tolist(), vs.tolist()
+    while True:
+        a, b = known_t[k], known_t[k + 1]
+        for t, v in ((a, known_v[k]), (b, known_v[k + 1])):
+            if v == 1.0:
+                return t
+        if b - a <= tol * b:
+            break
+        root = math.exp(_t2_predict(known_t, known_v, k, 0.01 * tol))
+        trial = {a * math.sqrt(b / a)}
+        trial.update(root * (1.0 + s * f * tol) for f in _T2_LADDER for s in (-1.0, 1.0))
+        new = sorted(t for t in trial if a < t < b)
+        vals = (2.0 * curve.evaluate(np.array(new))).tolist()
+        known_t[k + 1:k + 1] = new
+        known_v[k + 1:k + 1] = vals
+        below = known_v[k] < 1.0
+        while (known_v[k + 1] < 1.0) == below:
+            k += 1
 
-    def fn(t):
-        if t not in seen:
-            seen[t] = 2.0 * curve.evaluate(t) - 1.0
-        return seen[t]
-
-    tol = 0.1 * curve.provenance["rtol"]
-    return float(brentq(fn, a, b, xtol=tol * b, rtol=max(tol, 4.0 * np.finfo(float).eps)))
+    return min(max(math.exp(_t2_secant(known_t, known_v, k)), a), b)
 
 
 def cpmg_closed_form(tau: float, omega0: float, omega_p: float, amplitude: float) -> float:

@@ -14,12 +14,9 @@ from critspec.asymptotics import (
     FAR_FIELD,
     NEAR_FIELD,
     STATIC,
-    NonGaussianOrder,
     RegimeLabel,
     classify_regime,
-    cpmg_regimes,
     heuristic_phi_squared,
-    nongaussian_exponents,
     omega0_for,
     table1_classical,
     table1_quantum,
@@ -303,48 +300,3 @@ class TestTable1QuantumThroughTheEngine:
                 assert slope == pytest.approx(3.0, abs=0.1)
                 checked += 1
         assert checked >= 12
-
-
-class TestCpmgRegimes:
-    def test_suppression_when_pulses_outrun_noise(self):
-        base = cpmg_regimes(omega0=1.0, omega_p=0.01, tau=10.0, d=2.0, xi=1.0)
-        fast = cpmg_regimes(omega0=1.0, omega_p=100.0, tau=10.0, d=2.0, xi=1.0)
-        x = 0.5 * math.pi * 1.0 / 100.0
-        assert fast == pytest.approx(base * x * x, rel=1e-12, abs=0)
-
-    def test_slow_pulses_match_unsuppressed_heuristic(self):
-        val = cpmg_regimes(omega0=2.0, omega_p=0.1, tau=8.0, d=3.0, xi=1.0)
-        assert val == pytest.approx(8.0 / (2.0 * 9.0) * (1.0 / 9.0), rel=1e-12, abs=0)
-
-    def test_positive_and_validated(self):
-        assert cpmg_regimes(1.0, 1.0, 1.0, 1.0, 1.0) > 0.0
-        with pytest.raises(ValueError):
-            cpmg_regimes(1.0, 0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cpmg_regimes(1.0, 1.0, 1.0, -2.0, 1.0)
-
-
-class TestNonGaussian:
-    def test_order_properties(self):
-        o = NonGaussianOrder(k=3, z=2.0, eta=0.1)
-        assert o.delta_bar == pytest.approx(1.05)
-        assert o.D == pytest.approx(4.0)
-
-    def test_exponent_formulas(self):
-        o = NonGaussianOrder(k=2, z=1.0, eta=0.0)
-        exps = nongaussian_exponents(o)
-        assert exps.d_power == pytest.approx(2.0)
-        assert exps.T_power == pytest.approx(1.0)
-        assert exps.farfield_power == pytest.approx(4.0)
-
-        o3 = NonGaussianOrder(k=3, z=2.0, eta=0.1)
-        e3 = nongaussian_exponents(o3)
-        assert e3.d_power == pytest.approx(1.0 + 3 * 1.05)
-        assert e3.T_power == pytest.approx(3 * (2.0 + 0.1 - 2.0) / 4.0)
-        assert e3.farfield_power == pytest.approx(7.0)
-
-    def test_gaussian_term_excluded(self):
-        with pytest.raises(ValueError):
-            NonGaussianOrder(k=1)
-        with pytest.raises(ValueError):
-            NonGaussianOrder(k=2, z=0.0)

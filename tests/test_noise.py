@@ -13,6 +13,7 @@ import critspec.noise
 from critspec.filters import GeometryConfig, PulseSequence, filter_function, jump_weights
 from critspec.models import ModelA, ModelB, O3Regime, o3_transport, structure_factor
 from critspec.noise import (
+    DecoherenceCurve,
     NoCrossingError,
     QubitParams,
     coherence,
@@ -254,6 +255,54 @@ def test_ou_kernel_tau_columns_rescale_the_sequence():
     # a frozen mode sees (int f)^2, which vanishes for an even segment count
     assert grid[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert ou_phase_kernel([0.0], PulseSequence.ramsey(3.0))[0, 0] == pytest.approx(9.0)
+
+
+def _reference_ou_kernel(rates, seq, taus=None):
+    # ou_phase_kernel as it was when every run took its own transcendentals
+    c1, c3, c5, c7, c9 = critspec.noise._STEADY_SERIES
+    r = np.asarray(rates, dtype=float).reshape(-1, 1)
+    t = np.asarray(seq.tau if taus is None else taus, dtype=float).reshape(1, -1)
+    out = np.zeros((r.shape[0], t.shape[1]))
+    u = np.zeros_like(out)
+    for frac, k in seq.runs:
+        ell = frac * t
+        x = r * ell
+        pos = x > 0.0
+        xs = np.where(pos, x, 1.0)
+        a = ell * np.where(pos, -np.expm1(-x) / xs, 1.0)
+        th = np.tanh(0.5 * x)
+        w = ell * np.where(pos, th / xs, 0.5)
+        x2 = x * x
+        series = x * (c1 + x2 * (c3 + x2 * (c5 + x2 * (c7 + x2 * c9))))
+        steady = 2.0 * ell**2 * np.where(x < 0.1, series, (x - 2.0 * th) / xs**2)
+        ekx = np.exp(-k * x)
+        if k % 2:
+            g, power = 1.0 + ekx, -ekx
+        else:
+            g, power = -np.expm1(-k * x), ekx
+        delta = u + w
+        out += k * steady + 2.0 * a * delta * g / (1.0 + np.exp(-x))
+        u = power * delta - w
+    return out
+
+
+@pytest.mark.parametrize("name", ["ramsey", "hahn", "cpmg-8", "cpmg-128", "cpmg-512", "custom"])
+def test_ou_kernel_per_length_terms_change_no_bit(name):
+    # the transcendentals taken once per distinct segment length give the
+    # per-run loop's Q bit for bit; the custom sequence repeats two gap
+    # lengths in separate runs, as CPMG repeats its half segments
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(40):
+        tau = float(10.0 ** rng.uniform(-2.0, 3.0))
+        if name == "custom":
+            seq = PulseSequence.custom([tau * s for s in (0.1, 0.3, 0.5, 0.6, 0.7, 0.9)], tau)
+        else:
+            seq, _ = make_sequence(name, tau)
+        rates = np.concatenate(([0.0], 10.0 ** rng.uniform(-8.0, 5.0, int(rng.integers(1, 200)))))
+        taus = tau * 10.0 ** rng.uniform(-1.5, 1.5, int(rng.integers(1, 17)))
+        assert np.array_equal(ou_phase_kernel(rates, seq, taus),
+                              _reference_ou_kernel(rates, seq, taus))
+    assert np.array_equal(ou_phase_kernel(rates, seq), _reference_ou_kernel(rates, seq))
 
 
 def test_o3_paramagnet_meets_tolerance():
@@ -590,7 +639,8 @@ def test_t2_refinement_evaluates_each_tau_once(monkeypatch):
                               GeometryConfig(d=0.5))
     asked = []
     live = curve.evaluate
-    monkeypatch.setattr(curve, "evaluate", lambda t: asked.append(t) or live(t))
+    monkeypatch.setattr(curve, "evaluate",
+                        lambda t: asked.extend(np.atleast_1d(t).tolist()) or live(t))
     t2 = t2_extract(curve)
     assert len(asked) == len(set(asked)) >= 3
     assert 2.0 * live(t2) == pytest.approx(1.0, rel=1e-9)
@@ -604,7 +654,8 @@ def test_t2_bracket_ends_are_the_curve_samples(monkeypatch):
                               GeometryConfig(d=0.5))
     asked = []
     live = curve.evaluate
-    monkeypatch.setattr(curve, "evaluate", lambda t: asked.append(t) or live(t))
+    monkeypatch.setattr(curve, "evaluate",
+                        lambda t: asked.extend(np.atleast_1d(t).tolist()) or live(t))
     t2 = t2_extract(curve)
     assert asked and not set(asked) & set(curve.taus.tolist())
     assert 2.0 * live(t2) == pytest.approx(1.0, rel=1e-9)
@@ -619,6 +670,89 @@ def test_t2_root_is_as_accurate_as_the_curve(tol_q):
     curve = decoherence_curve(np.geomspace(0.5, 500.0, 7), seq, m, geom, tol_q=tol_q)
     t2 = t2_extract(curve)
     assert abs(2.0 * phi_squared(t2, seq, m, geom, tol_q=1e-12) - 1.0) <= 3.0 * tol_q
+
+
+def _t2_case():
+    # the model, sequence and geometry of test_t2_root_is_as_accurate_as_the_curve
+    return ModelB(sigma_s=1.0, J=1.0, xi=3.0, T=1.0), PulseSequence.cpmg(4, 1.0), \
+        GeometryConfig(d=0.7)
+
+
+def test_evaluate_at_the_curve_taus_is_the_curve():
+    m, seq, geom = _t2_case()
+    curve = decoherence_curve(np.geomspace(0.5, 500.0, 7), seq, m, geom)
+    assert np.array_equal(curve.evaluate(curve.taus), curve.phi_sq)
+
+
+def test_evaluate_at_a_scalar_is_phi_squared():
+    m, seq, geom = _t2_case()
+    curve = decoherence_curve(np.geomspace(0.5, 500.0, 7), seq, m, geom,
+                              tol_omega=3e-8, tol_q=2e-8)
+    got = curve.evaluate(17.3)
+    assert type(got) is float
+    assert got == phi_squared(17.3, seq, m, geom, tol_omega=3e-8, tol_q=2e-8)
+
+
+def _counted(monkeypatch, curve):
+    calls = []
+    live = curve.evaluate
+    monkeypatch.setattr(curve, "evaluate", lambda t: calls.append(np.size(t)) or live(t))
+    return calls
+
+
+@pytest.mark.parametrize("tol_q", [1e-5, 1e-8])
+def test_t2_converges_past_a_zero_sample_below_the_crossing(monkeypatch, tol_q):
+    # phi_sq == 0 at the bracket's lower end: ln 2<phi^2> is -inf there, so
+    # that end takes the midpoint and the linear secant, and no nan appears
+    m, seq, geom = _t2_case()
+    curve = decoherence_curve(np.geomspace(0.5, 500.0, 7), seq, m, geom, tol_q=tol_q)
+    k = int(np.argmax(2.0 * curve.phi_sq >= 1.0)) - 1
+    zeroed = replace(curve, phi_sq=np.where(np.arange(curve.taus.size) == k, 0.0, curve.phi_sq))
+    calls = _counted(monkeypatch, zeroed)
+    t2 = t2_extract(zeroed)
+    assert curve.taus[k] < t2 < curve.taus[k + 1]
+    assert abs(2.0 * phi_squared(t2, seq, m, geom, tol_q=1e-12) - 1.0) <= 3.0 * tol_q
+    tol = 0.1 * tol_q
+    bound = math.ceil(math.log2(math.log(curve.taus[k + 1] / curve.taus[k]) / math.log1p(tol))) + 1
+    assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("tol_q", [1e-5, 1e-8])
+@pytest.mark.parametrize("below", [10**1.5, 1.2], ids=["mid-bracket", "near-lower-end"])
+def test_t2_stops_within_the_halving_bound_on_a_sparse_curve(monkeypatch, tol_q, below):
+    # samples three decades apart, the root mid-bracket or near its lower
+    # end, so the cubic through the four nearest is a poor guess; the ln-tau
+    # midpoint still halves the bracket every call
+    m, seq, geom = _t2_case()
+    lo = 17.5918 / below  # T2 of this case is 17.5918...
+    curve = decoherence_curve(lo * np.array([1e-3, 1.0, 1e3, 1e6]), seq, m, geom, tol_q=tol_q)
+    calls = _counted(monkeypatch, curve)
+    t2 = t2_extract(curve)
+    assert lo < t2 < 1e3 * lo
+    assert abs(2.0 * phi_squared(t2, seq, m, geom, tol_q=1e-12) - 1.0) <= 3.0 * tol_q
+    tol = 0.1 * tol_q
+    assert len(calls) <= math.ceil(math.log2(math.log(1e3) / math.log1p(tol))) + 1
+    assert all(n <= 16 for n in calls)
+
+
+def test_t2_halving_bound_holds_where_the_cubic_misleads(monkeypatch):
+    # a synthetic curve, ln 2<phi^2> = sinh(ln tau - x0), far from the cubic
+    # through its samples: each call still halves the bracket in ln tau
+    x0, tol = 0.37, 1e-9
+
+    def two_phi_sq(t):
+        return np.exp(np.sinh(np.log(t) - x0))
+
+    taus = np.array([1e-1, 1.0, 1e3, 1e4]) / 30.0
+    curve = DecoherenceCurve(taus=taus, phi_sq=0.5 * two_phi_sq(taus), errors=0.0 * taus,
+                             seq=PulseSequence.ramsey(1.0), model=None, geom=None,
+                             provenance={"rtol": 10.0 * tol})
+    calls = []
+    monkeypatch.setattr(curve, "evaluate",
+                        lambda t: calls.append(np.size(t)) or 0.5 * two_phi_sq(np.asarray(t)))
+    t2 = t2_extract(curve)
+    assert t2 == pytest.approx(math.exp(x0), rel=2.0 * tol, abs=0)
+    assert len(calls) <= math.ceil(math.log2(math.log(1e3) / math.log1p(tol))) + 1
 
 
 def test_t2_no_crossing_error_carries_bracket():

@@ -275,3 +275,42 @@ def test_silent_handler_check_catches_a_bare_pass_only():
            "try:\n    k()\nexcept OSError:\n    pass\n    raise\n"
            "def m():\n    try:\n        n()\n    except ZeroDivisionError:\n        pass\n")
     assert silent_handlers(src) == [3, 7, 21]
+
+
+def scipy_imports(source, package):
+    """Lines that import package (say scipy.optimize) or a name from it,
+    in any of `import scipy.optimize`, `from scipy.optimize import f` and
+    `from scipy import optimize`."""
+    parent, _, leaf = package.rpartition(".")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == package or a.name.startswith(package + ".")
+                      for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            hit = (module == package or module.startswith(package + ".")
+                   or (module == parent and any(a.name == leaf for a in node.names)))
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_noise_imports_nothing_from_scipy_optimize():
+    # T2 is a batched bracket search of its own; decohere should not pay
+    # for loading scipy.optimize
+    path = pathlib.Path(critspec.__file__).parent / "noise.py"
+    assert scipy_imports(path.read_text(), "scipy.optimize") == []
+
+
+def test_scipy_import_check_catches_each_spelling():
+    src = ("import scipy.optimize\n"
+           "from scipy.optimize import brentq\n"
+           "from scipy import optimize as opt\n"
+           "from scipy.optimize._root import root\n"
+           "from scipy import special\n"
+           "import scipy.optimizer_like\n"
+           "from scipy.special import sici\n")
+    assert scipy_imports(src, "scipy.optimize") == [1, 2, 3, 4]
